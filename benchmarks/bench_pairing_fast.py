@@ -1,19 +1,20 @@
-"""Array-shaped FA/HA pairing vs the legacy per-root extraction loop.
+"""Array-shaped FA/HA pairing vs the per-root extraction loop.
 
-PR 3 vectorized cut enumeration and NPN matching, which left
-``extract_adder_tree`` — bipartite matching, per-adder ``_cone_between``
-DFS, per-call carry-pool rebuild — as the dominant per-root Python loop on
-the post-processing hot path.  This series isolates exactly that stage:
-both engines receive the *same* precomputed detection (the fast cut sweep,
-bit-identical to legacy), so the timings compare pairing implementations,
-nothing else, on growing CSA multipliers.
+Once cut enumeration and NPN matching were vectorized, the per-root
+pairing loop — bipartite matching, per-adder cone DFS, per-call
+carry-pool rebuild — was the dominant Python loop on the post-processing
+hot path; it now lives in ``tests/oracles/`` as the reference.  This
+series isolates exactly that stage: both implementations receive the
+*same* precomputed detection (the vectorized cut sweep), so the timings
+compare pairing implementations, nothing else, on growing CSA
+multipliers.
 
 Claims asserted:
 
 * ≥ 3x on the 64-bit CSA multiplier (the PR's acceptance bar);
 * ≥ 1.5x on a small (16-bit) multiplier — the CI perf-smoke lane
   (``-k smoke``) runs just this quick check on every push;
-* fast and legacy recover bit-identical adder trees while doing it.
+* fast and the oracle recover bit-identical adder trees while doing it.
 
 Each run also appends a machine-readable record to
 ``benchmarks/results/BENCH_pairing.json`` (the trajectory artifact), so
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from common import (
     FULL,
     bench_multiplier,
@@ -39,7 +41,7 @@ WIDTHS = (16, 32, 64, 96) if FULL else (16, 32, 64)
 
 
 def _prepared(width: int):
-    """Multiplier plus a shared detection: pairing input for both engines."""
+    """Multiplier plus a shared detection: pairing input for both sides."""
     gen = bench_multiplier(width)
     return gen.aig, detect_xor_maj(gen.aig)
 
@@ -51,12 +53,12 @@ def _time_engines(aig, detection, rounds: int = 3):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy = extract_adder_tree(aig, detection, engine="legacy")
+            legacy = oracles.extract_adder_tree(aig, detection)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast = extract_adder_tree(aig, detection, engine="fast")
+            fast = extract_adder_tree(aig, detection)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.adders == legacy.adders
     assert fast.consumed == legacy.consumed
@@ -163,6 +165,6 @@ def test_smoke_fast_pairing_speedup(benchmark):
 def test_pairing_fast_kernel(benchmark):
     aig, detection = _prepared(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: extract_adder_tree(aig, detection, engine="fast"),
+        lambda: extract_adder_tree(aig, detection),
         rounds=3, iterations=1,
     )

@@ -1,12 +1,12 @@
-"""Vectorized post-processing vs the legacy per-node cut path.
+"""Vectorized post-processing vs the per-node cut path.
 
 Post-processing (cut verification + adder-tree extraction) is the ~30:1
-dominant serving cost; PR 2 parallelized it, this PR makes it faster.  The
-series measures :func:`repro.core.postprocess.extract_from_predictions`
-with ``engine="fast"`` (one vectorized whole-graph cut sweep shared by LSB
-repair and candidate verification) against ``engine="legacy"`` (per-node
-``node_cuts`` re-derivation around every flagged candidate), on growing
-CSA multipliers.
+dominant serving cost.  The series measures
+:func:`repro.core.postprocess.extract_from_predictions` (one vectorized
+whole-graph cut sweep shared by LSB repair and candidate verification)
+against the per-node oracle of ``tests/oracles/`` (``node_cuts``
+re-derivation around every flagged candidate, per-root pairing), on
+growing CSA multipliers.
 
 Labels are the exact ground truth — deterministic, model-free, and on
 multipliers essentially identical to what a trained Gamora predicts — so
@@ -17,13 +17,14 @@ Claims asserted:
 * ≥ 5x on the 32-bit CSA multiplier (the PR's acceptance bar);
 * ≥ 2x on a small (16-bit) multiplier — the CI perf-smoke lane
   (``-k smoke``) runs just this quick check on every push;
-* fast and legacy recover identical adder trees while doing it.
+* fast and the oracle recover identical adder trees while doing it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import oracles
 from common import FULL, bench_multiplier, emit, format_table, keep_under_benchmark_only
 from repro.core.postprocess import extract_from_predictions
 from repro.reasoning.adder_tree import ground_truth_labels
@@ -43,12 +44,12 @@ def _time_engines(aig, labels, rounds: int = 2):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy = extract_from_predictions(aig, labels, engine="legacy")
+            legacy = oracles.extract_from_predictions(aig, labels)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast = extract_from_predictions(aig, labels, engine="fast")
+            fast = extract_from_predictions(aig, labels)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.tree.adders == legacy.tree.adders
     assert fast.num_mismatches == legacy.num_mismatches
@@ -118,7 +119,8 @@ def test_smoke_fast_engine_speedup(benchmark):
     """CI perf-smoke lane: a 16-bit multiplier must stay >=2x, quickly.
 
     Regression guard for the vectorized path itself — if a change drags the
-    fast engine back toward per-node Python costs, this fails in minutes.
+    vectorized path back toward per-node Python costs, this fails in
+    minutes.
     """
     aig, labels = _labels_for(16)
     legacy_seconds, fast_seconds, _ = _time_engines(aig, labels)
@@ -132,6 +134,6 @@ def test_smoke_fast_engine_speedup(benchmark):
 def test_postprocess_fast_kernel(benchmark):
     aig, labels = _labels_for(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: extract_from_predictions(aig, labels, engine="fast"),
+        lambda: extract_from_predictions(aig, labels),
         rounds=3, iterations=1,
     )

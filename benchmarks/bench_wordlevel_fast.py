@@ -1,14 +1,13 @@
-"""Array-native detection→word-level pipeline vs the legacy dict path.
+"""Array-native detection→word-level pipeline vs the per-node dict path.
 
-PR 3 vectorized the cut sweep and PR 4 the FA/HA pairing, but the serving
-path still stitched the stages together through ``XorMajDetection`` dict
-builds and walked the extracted tree with per-adder Python loops to
-produce the word-level report (the paper's Sec. II-B payoff).  This series
-measures the whole post-GNN path — ``extract_from_predictions`` straight
-through ``analyze_adder_tree`` — with ``engine="fast"`` (candidate arrays
-end to end, zero detection dicts, Kahn-wavefront ranks) against
-``engine="legacy"`` (per-node cut re-derivation, dict pairing, per-adder
-report walk), on growing CSA multipliers.
+The serving path once stitched the vectorized cut sweep and pairing
+together through ``XorMajDetection`` dict builds and walked the extracted
+tree with per-adder Python loops to produce the word-level report (the
+paper's Sec. II-B payoff).  This series measures the whole post-GNN path
+— ``extract_from_predictions`` straight through ``analyze_adder_tree``
+(candidate arrays end to end, zero detection dicts, Kahn-wavefront ranks)
+— against the oracles of ``tests/oracles/`` (per-node cut re-derivation,
+dict pairing, per-adder report walk), on growing CSA multipliers.
 
 Labels are the exact ground truth — deterministic, model-free, and on
 multipliers essentially identical to what a trained Gamora predicts — so
@@ -19,7 +18,7 @@ Claims asserted:
 * ≥ 2x on the 64-bit CSA multiplier (the PR's acceptance bar);
 * ≥ 1.5x on a small (16-bit) multiplier — the CI perf-smoke lane
   (``-k smoke``) runs just this quick check on every push;
-* fast and legacy produce bit-identical adder trees *and* word-level
+* fast and the oracles produce bit-identical adder trees *and* word-level
   reports while doing it.
 
 Each run appends a machine-readable record to
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from common import (
     FULL,
     bench_multiplier,
@@ -52,11 +52,16 @@ def _labels_for(width: int):
     return gen.aig, ground_truth_labels(gen.aig)
 
 
-def _run(aig, labels, engine: str):
+def _run(aig, labels):
     """One reason→report pass: post-processing + word-level analysis."""
-    extraction = extract_from_predictions(aig, labels, engine=engine)
-    report = analyze_adder_tree(aig, extraction.tree, engine=engine)
-    return extraction, report
+    extraction = extract_from_predictions(aig, labels)
+    return extraction, analyze_adder_tree(aig, extraction.tree)
+
+
+def _run_oracle(aig, labels):
+    """The same pass through the per-node oracles."""
+    extraction = oracles.extract_from_predictions(aig, labels)
+    return extraction, oracles.analyze_adder_tree(aig, extraction.tree)
 
 
 def _time_engines(aig, labels, rounds: int = 2):
@@ -65,12 +70,12 @@ def _time_engines(aig, labels, rounds: int = 2):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy, legacy_report = _run(aig, labels, "legacy")
+            legacy, legacy_report = _run_oracle(aig, labels)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast, fast_report = _run(aig, labels, "fast")
+            fast, fast_report = _run(aig, labels)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.tree.adders == legacy.tree.adders
     assert fast_report == legacy_report
@@ -182,6 +187,6 @@ def test_smoke_fast_wordlevel_speedup(benchmark):
 def test_wordlevel_fast_kernel(benchmark):
     aig, labels = _labels_for(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: _run(aig, labels, "fast"),
+        lambda: _run(aig, labels),
         rounds=3, iterations=1,
     )

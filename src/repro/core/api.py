@@ -162,13 +162,8 @@ class Gamora:
         return evaluate_model(self.net, data)
 
     def reason(self, circuit, root_filter: bool = False, correct_lsb: bool = True,
-               lsb_outputs: int = 4, engine: str = "fast") -> ReasoningOutcome:
-        """Predict labels, then post-process into an adder tree.
-
-        ``engine`` selects the post-processing implementation: ``"fast"``
-        (vectorized cut sweep + array-shaped pairing) or ``"legacy"`` (the
-        per-node baseline).
-        """
+               lsb_outputs: int = 4) -> ReasoningOutcome:
+        """Predict labels, then post-process into an adder tree."""
         aig = _as_aig(circuit)
         data = self.prepare(aig, with_labels=False)
         kernel = self.inference_kernel()
@@ -178,7 +173,6 @@ class Gamora:
             extraction = extract_from_predictions(
                 aig, labels, root_filter=root_filter,
                 correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-                engine=engine,
             )
         return ReasoningOutcome(
             extraction=extraction,
@@ -192,7 +186,7 @@ class Gamora:
                     max_shard_bytes: int | None = None,
                     max_window_bytes: int | None = None,
                     postprocess_workers: int | None = None,
-                    engine: str = "fast", with_report: bool = False):
+                    with_report: bool = False):
         """Batched :meth:`reason` over many circuits via the serving layer.
 
         Circuits are deduplicated by structural hash, encoded through an
@@ -223,7 +217,7 @@ class Gamora:
             max_shard_bytes=max_shard_bytes,
             max_window_bytes=max_window_bytes,
             postprocess_workers=postprocess_workers,
-            engine=engine, with_report=with_report,
+            with_report=with_report,
         )
 
     def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:

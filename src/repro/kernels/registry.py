@@ -254,11 +254,11 @@ def warmup(backend: str | None = None) -> dict:
     started = time.perf_counter()
 
     from repro.generators import csa_multiplier
-    from repro.reasoning.fast_pairing import fast_extract_adder_tree
+    from repro.reasoning.adder_tree import extract_adder_tree
     from repro.reasoning.wordlevel import analyze_adder_tree
 
     aig = csa_multiplier(4).aig
-    tree = fast_extract_adder_tree(aig)
+    tree = extract_adder_tree(aig)
     analyze_adder_tree(aig, tree)
 
     indptr = np.array([0, 1, 2, 2], dtype=np.int64)

@@ -6,7 +6,6 @@ from repro.reasoning.structural import detect_xor_maj_structural, match_xor_oper
 from repro.reasoning.fast_pairing import (
     PairingCandidates,
     batched_cones,
-    fast_extract_adder_tree,
     pair_candidates,
 )
 from repro.reasoning.adder_tree import (
@@ -36,7 +35,6 @@ __all__ = [
     "maximum_bipartite_matching",
     "PairingCandidates",
     "batched_cones",
-    "fast_extract_adder_tree",
     "pair_candidates",
     "detect_xor_maj_structural",
     "match_xor_operands",

@@ -10,8 +10,8 @@ and the matched slices yield the multi-task ground-truth labels:
 * Task 3 — MAJ root (binary), including matched half-adder carries
   (MAJ3 with a constant input, cf. node 10 of the paper's Fig. 3).
 
-Engine/adapter boundary
------------------------
+Array core and adapter views
+----------------------------
 :class:`AdderTree` is stored as a struct-of-arrays core
 (:class:`AdderTreeArrays`: kind/sum/carry/leaf int32 columns plus a cached
 CSR link index) so the serving-path consumers — word-level analysis,
@@ -20,9 +20,9 @@ passes instead of per-adder Python walks.  The original object views are
 preserved as thin accessors: ``tree.adders`` (a list of
 :class:`ExtractedAdder`), ``tree.consumed`` (a set), and
 ``tree.detection`` (an :class:`~repro.reasoning.xor_maj.XorMajDetection`)
-are materialized lazily from the arrays on first access, so legacy callers
-and the differential test oracle keep working unchanged while the fast
-path never pays for them.
+are materialized lazily from the arrays on first access, so object-view
+callers and the per-root oracle in ``tests/oracles/`` keep working
+unchanged while the serving path never pays for them.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aig.graph import AIG, lit_var
-from repro.reasoning.matching import maximum_bipartite_matching
-from repro.reasoning.xor_maj import (
-    XorMajDetection,
-    detect_xor_maj,
-    ha_carry_candidates,
-)
+from repro.aig.graph import AIG
+from repro.reasoning.xor_maj import XorMajDetection, detect_xor_maj
 from repro.utils.arrays import sorted_unique
 
 __all__ = [
@@ -91,7 +86,7 @@ class AdderTreeArrays:
     * ``kind`` — ``(A,)`` uint8, :data:`KIND_FA` / :data:`KIND_HA`;
     * ``sum_var`` / ``carry_var`` — ``(A,)`` int32 root variables;
     * ``leaves`` — ``(A, W)`` int32 leaf variables, padded with ``-1``
-      (``W`` is 3 for engine-built trees);
+      (``W`` is 3 for extracted trees);
     * ``leaf_count`` — ``(A,)`` int8 live leaves per row.
 
     Derived indexes are built lazily and cached: the link edge list /
@@ -420,34 +415,8 @@ class AdderTree:
         )
 
 
-def _cone_between(aig: AIG, root: int, leaves: set[int]) -> set[int]:
-    """AND variables strictly inside the cone of ``root`` above ``leaves``."""
-    inside: set[int] = set()
-    stack = [root]
-    while stack:
-        var = stack.pop()
-        if var in inside or var in leaves or not aig.is_and(var):
-            continue
-        inside.add(var)
-        f0, f1 = aig.fanins(var)
-        stack.append(lit_var(f0))
-        stack.append(lit_var(f1))
-    return inside
-
-
-def _sorted_leaf_sets(leaf_sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Candidate leaf sets in canonical ``(size, leaves)`` order.
-
-    Engine-produced detections already list cuts this way (the enumerators
-    rank by size then leaves), so this is a no-op there — it exists so
-    hand-built or shuffled detections extract identically: pairing must be
-    a function of the candidate *set*, never of list or dict order.
-    """
-    return sorted(leaf_sets, key=lambda leaves: (len(leaves), leaves))
-
-
 def extract_adder_tree(aig: AIG, detection: XorMajDetection | None = None,
-                       max_cuts: int = 10, engine: str = "fast") -> AdderTree:
+                       max_cuts: int = 10) -> AdderTree:
     """Pair XOR and MAJ roots with identical inputs into FAs and HAs.
 
     Full adders are matched first (3-leaf XOR/MAJ pairs); the cone interior
@@ -456,102 +425,32 @@ def extract_adder_tree(aig: AIG, detection: XorMajDetection | None = None,
     spurious half adders — mirroring how exact rewriting consumes matched
     slices.
 
-    ``engine="fast"`` (default) runs the array-shaped pairing of
-    :mod:`repro.reasoning.fast_pairing` — sort-based candidate grouping,
-    vectorized matching, batched cone consumption; ``engine="legacy"``
-    keeps the per-root loop below as the differential oracle and runtime
-    baseline.  Both are deterministic (candidates in sorted order, one
-    shared matching algorithm) and produce bit-identical trees.
+    Pairing runs on the array core of :mod:`repro.reasoning.fast_pairing`
+    — sort-based candidate grouping, vectorized matching, batched cone
+    consumption — and is deterministic: candidates are canonically sorted,
+    so the tree depends on the detection's content, never its order.  With
+    ``detection`` the dict form is flattened first; without it the cut
+    sweep, classification and pairing share one
+    :class:`~repro.aig.fast_cuts.CutArrays` pass.  The per-root loop this
+    replaced lives in ``tests/oracles/`` and produces the same adders in
+    the same order, with the same ``consumed`` set.
     """
-    if engine == "fast":
-        from repro.reasoning.fast_pairing import fast_extract_adder_tree
+    from repro.reasoning.fast_pairing import PairingCandidates, pair_candidates
 
-        return fast_extract_adder_tree(aig, detection=detection,
-                                       max_cuts=max_cuts)
-    if engine != "legacy":
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    if detection is None:
-        detection = detect_xor_maj(aig, max_cuts=max_cuts)
+    if detection is not None:
+        cands = PairingCandidates.from_detection(detection, aig.num_vars)
+    else:
+        from repro.aig.fast_cuts import enumerate_cuts_arrays
 
-    xor_by_leaves: dict[tuple[int, ...], list[int]] = {}
-    for var in sorted(detection.xor_roots):
-        for leaves in _sorted_leaf_sets(detection.xor_roots[var]):
-            xor_by_leaves.setdefault(leaves, []).append(var)
-
-    tree = AdderTree(detection=detection)
-    consumed = tree.consumed
-
-    # --- Full adders: MAJ3 root + XOR3 root over the same leaves ---------
-    # Maximum bipartite matching between MAJ and XOR roots sharing a leaf
-    # set: greedy pairing can starve a later MAJ of its only partner on
-    # Booth netlists, where XOR roots admit several coincident leaf sets.
-    # The matcher's traversal order is pinned (ascending roots, sorted
-    # adjacency), so the chosen matching is independent of detection
-    # insertion order — and identical to the fast engine's.
-    pair_leaves: dict[tuple[int, int], tuple[int, ...]] = {}
-    adjacency: dict[int, list[int]] = {}
-    for maj_var in sorted(detection.maj_roots):
-        for leaves in _sorted_leaf_sets(detection.maj_roots[maj_var]):
-            if len(leaves) != 3:  # an FA slice is 3-leaf by definition
-                continue
-            for xor_var in xor_by_leaves.get(leaves, ()):
-                if xor_var == maj_var:
-                    continue
-                pair_leaves.setdefault((maj_var, xor_var), leaves)
-                adjacency.setdefault(maj_var, []).append(xor_var)
-    matching = maximum_bipartite_matching(adjacency)
-    for maj_var in sorted(adjacency):
-        xor_var = matching.get(maj_var)
-        if xor_var is None:
-            continue
-        if maj_var in consumed or xor_var in consumed:
-            continue
-        leaves = pair_leaves[(maj_var, xor_var)]
-        leaf_set = set(leaves)
-        interior = _cone_between(aig, xor_var, leaf_set)
-        interior |= _cone_between(aig, maj_var, leaf_set)
-        tree.adders.append(ExtractedAdder("FA", xor_var, maj_var, leaves))
-        consumed |= interior
-        consumed.add(xor_var)
-        consumed.add(maj_var)
-
-    # --- Half adders: XOR2 root + an AND over the same variable pair ------
-    # The AND may have any fan-in polarities (complemented slice operands
-    # are common at folded boundaries), but must not be one of the XOR's
-    # own interior nodes, which share the same leaf pair.
-    carry_pool = ha_carry_candidates(aig)
-    for xor_var in sorted(detection.xor_roots):
-        if xor_var in consumed:
-            continue
-        for leaves in _sorted_leaf_sets(detection.xor_roots[xor_var]):
-            if len(leaves) != 2:
-                continue
-            pair = (leaves[0], leaves[1])
-            leaf_set = set(leaves)
-            interior = _cone_between(aig, xor_var, leaf_set)
-            carry_var = next(
-                (
-                    c
-                    for c in carry_pool.get(pair, ())
-                    if c not in consumed and c not in interior
-                ),
-                None,
-            )
-            if carry_var is None:
-                continue
-            tree.adders.append(ExtractedAdder("HA", xor_var, carry_var, pair))
-            consumed |= interior
-            consumed.add(xor_var)
-            consumed.add(carry_var)
-            break
-
-    return tree
+        cands = PairingCandidates.from_cut_arrays(
+            enumerate_cuts_arrays(aig, k=3, max_cuts=max_cuts)
+        )
+    return pair_candidates(aig, cands, detection=detection)
 
 
 def ground_truth_labels(aig: AIG, detection: XorMajDetection | None = None,
                         tree: AdderTree | None = None,
-                        max_cuts: int = 10,
-                        engine: str = "fast") -> dict[str, np.ndarray]:
+                        max_cuts: int = 10) -> dict[str, np.ndarray]:
     """Multi-task node labels over all variables (constant + PIs + ANDs).
 
     Returns arrays of length ``aig.num_vars``:
@@ -559,14 +458,11 @@ def ground_truth_labels(aig: AIG, detection: XorMajDetection | None = None,
     * ``"root"`` — Task 1 classes (other/root/leaf/root+leaf);
     * ``"xor"`` — Task 2 binary XOR-root labels;
     * ``"maj"`` — Task 3 binary MAJ-root labels.
-
-    ``engine`` selects the detection sweep and pairing implementation
-    (``"fast"``/``"legacy"``); the labels are identical either way.
     """
     if detection is None:
-        detection = detect_xor_maj(aig, max_cuts=max_cuts, engine=engine)
+        detection = detect_xor_maj(aig, max_cuts=max_cuts)
     if tree is None:
-        tree = extract_adder_tree(aig, detection, engine=engine)
+        tree = extract_adder_tree(aig, detection)
 
     num_vars = aig.num_vars
     xor_label = np.zeros(num_vars, dtype=np.int64)

@@ -1,9 +1,9 @@
-"""Array-shaped FA/HA pairing: the vectorized twin of the extraction loops.
+"""Array-shaped FA/HA pairing: the core behind ``extract_adder_tree``.
 
-This is to :func:`repro.reasoning.adder_tree.extract_adder_tree` what
-:mod:`repro.aig.fast_cuts` is to the Cut-object enumerator: the same
-result, produced by whole-graph array passes instead of per-root Python
-loops.  The stages map one-to-one onto the legacy extractor:
+:func:`repro.reasoning.adder_tree.extract_adder_tree` and the
+post-processing pipeline pair candidates here, with whole-graph array
+passes instead of per-root Python loops.  The stages map one-to-one onto
+the per-root reference extractor kept in ``tests/oracles/``:
 
 * **candidate grouping** — XOR/MAJ roots and their matching leaf sets are
   flattened into struct-of-arrays form (:class:`PairingCandidates`), either
@@ -30,9 +30,9 @@ loops.  The stages map one-to-one onto the legacy extractor:
   it is visited, so pre-matching it cannot change the rest of the matching;
 * **cone consumption** — matched slices' interiors are computed for *all*
   adders at once by a level-ordered frontier sweep over ``(node, owner)``
-  pairs (:func:`batched_cones`) instead of one ``_cone_between`` DFS per
-  root, and conflicts (a root claimed by an earlier slice's interior) are
-  detected vectorized; only when one exists — never on clean adder trees —
+  pairs (:func:`batched_cones`) instead of one cone DFS per root, and
+  conflicts (a root claimed by an earlier slice's interior) are detected
+  vectorized; only when one exists — never on clean adder trees —
   does emission fall back to the sequential consume-as-you-go order;
 * **HA selection** — the carry pool comes from the cached
   :meth:`AIG.and_pair_groups <repro.aig.graph.AIG.and_pair_groups>` index
@@ -43,8 +43,8 @@ loops.  The stages map one-to-one onto the legacy extractor:
 Matched slices are emitted straight into the tree's struct-of-arrays core
 (:class:`~repro.reasoning.adder_tree.AdderTreeArrays`) — the
 ``ExtractedAdder`` objects, the ``consumed`` set and the detection dicts
-exist only as lazy views on the result.  Bit-for-bit equivalence with
-``engine="legacy"`` — same adders, same order, same ``consumed`` set — is
+exist only as lazy views on the result.  Bit-for-bit equivalence with the
+per-root oracle — same adders, same order, same ``consumed`` set — is
 enforced by ``tests/test_fast_pairing.py``.
 """
 
@@ -69,7 +69,6 @@ from repro.utils.arrays import in_sorted, ragged_gather, sorted_unique
 __all__ = [
     "PairingCandidates",
     "batched_cones",
-    "fast_extract_adder_tree",
     "pair_candidates",
 ]
 
@@ -124,8 +123,8 @@ def _canonical_rows(vars_: list[int] | np.ndarray,
 
     This is the determinism anchor: whatever order the detection inserted
     roots or listed leaf sets, candidates come out in one canonical order
-    (the order the legacy loop sees after its own sort).  ``leaves`` may be
-    a flat sequence of ``len(vars_) * width`` ints.
+    (the order the reference loop sees after its own sort).  ``leaves``
+    may be a flat sequence of ``len(vars_) * width`` ints.
     """
     if len(vars_) == 0:
         return (np.zeros(0, dtype=np.int64),
@@ -235,14 +234,13 @@ class PairingCandidates:
         return self.select_roots(allowed, allowed)
 
     def to_detection(self) -> XorMajDetection:
-        """Dict-form adapter for the legacy oracle and the public API.
+        """Dict-form adapter for the object views and the public API.
 
         Reconstructs exactly the mapping
         :func:`~repro.aig.fast_cuts.matched_leaf_sets` would have produced
         for these rows: per variable, 2-leaf cuts before 3-leaf cuts, each
         group in ascending leaf order — the enumerators' slot order.  Only
-        adapter/compat paths call this; ``engine="fast"`` extraction never
-        does.
+        adapter/compat paths call this; post-processing never does.
         """
         xor_roots: dict[int, list[tuple[int, ...]]] = {}
         for var, row in zip(self.xor2_var.tolist(),
@@ -264,8 +262,8 @@ def batched_cones(aig: AIG, root_vars: np.ndarray, root_owner: np.ndarray,
     ``leaf_matrix`` holds one row of leaf variables per owner (one matched
     adder / HA candidate); ``root_owner[i]`` is the row owning root
     ``root_vars[i]``, so an owner may contribute several roots (an FA's sum
-    and carry).  The pairs returned are exactly what ``_cone_between``
-    collects: AND variables reachable from the owner's roots without
+    and carry).  The pairs returned are exactly what the oracle's per-root
+    cone DFS collects: AND variables reachable from the owner's roots without
     crossing that owner's leaves, the roots themselves included.  Instead
     of one DFS per root, every cone advances together, one level of its own
     depth per round: the frontier holds ``(node, owner)`` pairs packed into
@@ -301,10 +299,10 @@ def _full_adder_edges(cands: PairingCandidates
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate ``(maj, xor)`` pairs with their canonical shared leaves.
 
-    One sort-based join on the packed leaf-triple key replaces the legacy
-    per-root dict probing; parallel edges (a pair sharing several leaf
+    One sort-based join on the packed leaf-triple key replaces per-root
+    dict probing; parallel edges (a pair sharing several leaf
     sets) collapse to the smallest leaf triple, matching the determinized
-    legacy loop's first-in-sorted-order choice.
+    reference loop's first-in-sorted-order choice.
     """
     if not len(cands.maj_var) or not len(cands.xor3_var):
         return (np.zeros(0, dtype=np.int64),) * 2 + (
@@ -396,8 +394,8 @@ def _emit_full_adders(aig: AIG, consumed: np.ndarray,
     interiors in two array stores.  That is exactly the sequential result
     unless some pair's root lies inside another pair's cone (or doubles as
     the other side of a second pair) — detected vectorized; only then does
-    the legacy consume-as-you-go loop run, over interiors that were still
-    computed in one batched sweep.
+    the sequential consume-as-you-go loop run, over interiors that were
+    still computed in one batched sweep.
     """
     count = len(fa_maj)
     if count == 0:
@@ -454,8 +452,8 @@ def _emit_half_adders(aig: AIG, consumed: np.ndarray,
     HA rows.  Everything order-dependent is precomputed in array form — the
     carry pool slice per candidate (own-interior ANDs already filtered out
     by one vectorized membership pass) and the per-candidate interior node
-    lists — so the remaining scan is the legacy selection semantics at O(1)
-    Python work per candidate: first non-consumed carry wins, its cone is
+    lists — so the remaining scan is the reference selection semantics at
+    O(1) Python work per candidate: first non-consumed carry wins, its cone is
     consumed, later candidates of the same root are skipped.
     """
     ha_sum: list[int] = []
@@ -583,32 +581,3 @@ def pair_candidates(aig: AIG, cands: PairingCandidates,
                           ha_sum, ha_carry, ha_leaves)
     return AdderTree(core=core, consumed_mask=consumed,
                      detection=detection, candidates=cands)
-
-
-def fast_extract_adder_tree(aig: AIG,
-                            detection: XorMajDetection | None = None,
-                            max_cuts: int = 10,
-                            candidates: PairingCandidates | None = None,
-                            ) -> AdderTree:
-    """Array-shaped equivalent of ``extract_adder_tree(engine="legacy")``.
-
-    With ``candidates`` the caller already holds the flattened rows (the
-    array-native post-processing path) and pairing runs directly on them;
-    with ``detection`` the dict form is flattened first (legacy-oracle and
-    public-API compatibility); with neither, the whole pipeline — cut
-    sweep, classification, pairing — shares one
-    :class:`~repro.aig.fast_cuts.CutArrays` pass and the candidate arrays
-    are built straight from the classification masks.  Every route is
-    bit-identical to the legacy loop: same adders in the same order, same
-    ``consumed`` set.
-    """
-    if candidates is not None:
-        cands = candidates
-    elif detection is not None:
-        cands = PairingCandidates.from_detection(detection, aig.num_vars)
-    else:
-        from repro.aig.fast_cuts import enumerate_cuts_arrays
-
-        arrays = enumerate_cuts_arrays(aig, k=3, max_cuts=max_cuts)
-        cands = PairingCandidates.from_cut_arrays(arrays)
-    return pair_candidates(aig, cands, detection=detection)

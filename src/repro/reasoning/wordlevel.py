@@ -7,18 +7,18 @@ This is the "word-level abstraction" payoff the paper targets (Sec. II-B):
 once the adder tree is known, the multiplier collapses from tens of
 thousands of AND nodes to a few hundred arithmetic slices.
 
-Engine/adapter boundary
------------------------
-:func:`analyze_adder_tree` runs on the tree's struct-of-arrays core by
-default (``engine="fast"``): ranks come from a Kahn wavefront over the
-cached CSR link index, leaf classification and output linkage are single
-vectorized membership passes, and no per-adder Python walk remains.  The
-original per-adder loop is preserved as ``engine="legacy"`` — the
-differential-test oracle and the runtime baseline of
-``benchmarks/bench_wordlevel_fast.py``.  Both produce identical
+Array core
+----------
+:func:`analyze_adder_tree` runs on the tree's struct-of-arrays core: ranks
+come from a Kahn wavefront over the cached CSR link index, leaf
+classification and output linkage are single vectorized membership passes,
+and no per-adder Python walk remains.  The original per-adder loop lives in
+``tests/oracles/`` as the differential-test reference and the runtime
+baseline of ``benchmarks/bench_wordlevel_fast.py``.  Both produce identical
 :class:`WordLevelReport` values: the report normalizes its collections on
 construction (sorted lists), so equality is well-defined and stable across
-runs regardless of which engine — or which set-iteration order — built it.
+runs regardless of which implementation — or which set-iteration order —
+built it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aig.graph import AIG, lit_var
+from repro.aig.graph import AIG
 from repro.reasoning.adder_tree import KIND_FA, KIND_HA, AdderTree
 from repro.kernels.registry import get_kernel
 from repro.utils.arrays import in_sorted
@@ -48,9 +48,9 @@ class WordLevelReport:
     All collections are normalized on construction — ``ranks`` levels are
     ascending adder indexes, ``pp_leaves`` / ``pi_leaves`` /
     ``output_roots`` are sorted deduplicated lists — so two reports over
-    the same tree compare equal no matter which engine built them or what
-    iteration order their inputs arrived in (sets used to leak their
-    run-dependent order here).
+    the same tree compare equal no matter which implementation built them
+    or what iteration order their inputs arrived in (sets used to leak
+    their run-dependent order here).
     """
 
     num_full_adders: int
@@ -133,23 +133,6 @@ def compare_adder_trees(reference: AdderTree, candidate: AdderTree) -> dict[str,
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def analyze_adder_tree(aig: AIG, tree: AdderTree,
-                       engine: str = "fast") -> WordLevelReport:
-    """Build the word-level report: ranks, leaf classes, output linkage.
-
-    ``engine="fast"`` (default) runs entirely on the tree's array core —
-    a Kahn wavefront over the cached CSR link index for the ranks, one
-    membership pass each for leaf classes and output roots;
-    ``engine="legacy"`` keeps the original per-adder Python walk as the
-    differential oracle and runtime baseline.  Reports are identical.
-    """
-    if engine == "fast":
-        return _analyze_fast(aig, tree)
-    if engine != "legacy":
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    return _analyze_legacy(aig, tree)
-
-
 def _core_ranks(core) -> np.ndarray:
     """Longest-path rank per adder row of one (or a merged) array core.
 
@@ -188,7 +171,13 @@ def _ranks_to_levels(rank: np.ndarray) -> list[list[int]]:
             for level in range(depth)]
 
 
-def _analyze_fast(aig: AIG, tree: AdderTree) -> WordLevelReport:
+def analyze_adder_tree(aig: AIG, tree: AdderTree) -> WordLevelReport:
+    """Build the word-level report: ranks, leaf classes, output linkage.
+
+    Runs entirely on the tree's array core — a Kahn wavefront over the
+    cached CSR link index for the ranks, one membership pass each for
+    leaf classes and output roots.
+    """
     core = tree.arrays()
     src, _ = core.link_edges()
     ranks = _ranks_to_levels(_core_ranks(core))
@@ -206,7 +195,7 @@ def _analyze_fast(aig: AIG, tree: AdderTree) -> WordLevelReport:
     )
 
 
-def analyze_adder_trees(items, engine: str = "fast") -> list[WordLevelReport]:
+def analyze_adder_trees(items) -> list[WordLevelReport]:
     """Batched :func:`analyze_adder_tree` over ``(aig, tree)`` pairs.
 
     Concatenates the trees' :class:`~repro.reasoning.adder_tree.AdderTreeArrays`
@@ -220,13 +209,11 @@ def analyze_adder_trees(items, engine: str = "fast") -> list[WordLevelReport]:
 
     Returns one :class:`WordLevelReport` per input pair, in order, equal
     to calling :func:`analyze_adder_tree` per pair (the differential tests
-    pin this).  ``engine="legacy"`` — or any non-fast engine — falls back
-    to the per-pair call, keeping the oracle trivially correct.
+    pin this).
     """
     items = list(items)
-    if engine != "fast" or not items:
-        return [analyze_adder_tree(aig, tree, engine=engine)
-                for aig, tree in items]
+    if not items:
+        return []
 
     from repro.reasoning.adder_tree import _LEAF_PAD, AdderTreeArrays
 
@@ -303,73 +290,3 @@ def analyze_adder_trees(items, engine: str = "fast") -> list[WordLevelReport]:
             output_roots=output_roots.tolist(),
         ))
     return reports
-
-
-def _analyze_legacy(aig: AIG, tree: AdderTree) -> WordLevelReport:
-    """The original per-adder walk, kept verbatim as the oracle/baseline
-    (including its own dict-based link construction — the fast engine must
-    beat *this*, not a half-vectorized hybrid)."""
-    producer_of: dict[int, int] = {}
-    for index, adder in enumerate(tree.adders):
-        producer_of[adder.sum_var] = index
-        producer_of[adder.carry_var] = index
-    links: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for index, adder in enumerate(tree.adders):
-        for leaf in adder.leaves:
-            source = producer_of.get(leaf)
-            if source is None or source == index:
-                continue
-            edge = (source, index)
-            if edge not in seen:
-                seen.add(edge)
-                links.append(edge)
-    num_adders = len(tree.adders)
-
-    # Longest-path rank of each adder inside the DAG.
-    incoming: dict[int, list[int]] = {i: [] for i in range(num_adders)}
-    for src, dst in links:
-        incoming[dst].append(src)
-    rank = [0] * num_adders
-    # adders listed in topological order already (extraction iterates
-    # variables in topological order), but recompute defensively.
-    changed = True
-    while changed:
-        changed = False
-        for dst, sources in incoming.items():
-            if sources:
-                best = 1 + max(rank[s] for s in sources)
-                if best > rank[dst]:
-                    rank[dst] = best
-                    changed = True
-
-    ranks: list[list[int]] = []
-    for index in range(num_adders):
-        while len(ranks) <= rank[index]:
-            ranks.append([])
-        ranks[rank[index]].append(index)
-
-    internal_outputs = {v for a in tree.adders
-                        for v in (a.sum_var, a.carry_var)}
-    pp_leaves: set[int] = set()
-    pi_leaves: set[int] = set()
-    for adder in tree.adders:
-        for leaf in adder.leaves:
-            if leaf in internal_outputs:
-                continue
-            if aig.is_input(leaf):
-                pi_leaves.add(leaf)
-            elif aig.is_and(leaf):
-                pp_leaves.add(leaf)
-    output_roots = {
-        lit_var(lit) for lit in aig.outputs if lit_var(lit) in internal_outputs
-    }
-    return WordLevelReport(
-        num_full_adders=sum(1 for a in tree.adders if a.kind == "FA"),
-        num_half_adders=sum(1 for a in tree.adders if a.kind == "HA"),
-        num_links=len(links),
-        ranks=ranks,
-        pp_leaves=pp_leaves,
-        pi_leaves=pi_leaves,
-        output_roots=output_roots,
-    )

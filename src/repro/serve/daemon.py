@@ -29,11 +29,14 @@ Wire protocol (one JSON object per ``\\n``-terminated line)::
     {"op": "reason", "id": "req-1", "netlist": "<AIGER ascii>",
      "deadline_ms": 5000,
      "options": {"root_filter": false, "correct_lsb": true,
-                 "lsb_outputs": 4, "engine": "fast"}}
+                 "lsb_outputs": 4}}
     {"op": "stats"}
     {"op": "ping"}
     {"op": "shutdown"}
 
+Every option is optional; ``root_filter`` and ``correct_lsb`` must be
+JSON booleans and ``lsb_outputs`` a non-negative integer, and anything else
+(an unknown key included) is answered with ``type="bad_request"``.
 Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error":
 {"type": ..., "retriable": ..., "message": ...}}``; a full queue maps to
 ``type="queue_full", retriable=true`` so clients can back off and retry.
@@ -86,12 +89,11 @@ GRAPHS_SUBDIR = "graphs"
 class GamoraDaemon:
     """One trained Gamora behind a micro-batching scheduler, serving forever.
 
-    ``engine`` is the default post-processing engine for requests that do
-    not pick one themselves.  ``with_report=True`` (default) attaches the
-    word-level report to every outcome — computed once per micro-batch by
-    the concatenated ``analyze_adder_trees`` pass and stored in the result
-    cache, so repeat structures get theirs for free.  Use as a context
-    manager, or pair :meth:`start`/:meth:`close` explicitly.
+    ``with_report=True`` (default) attaches the word-level report to every
+    outcome — computed once per micro-batch by the concatenated
+    ``analyze_adder_trees`` pass and stored in the result cache, so repeat
+    structures get theirs for free.  Use as a context manager, or pair
+    :meth:`start`/:meth:`close` explicitly.
     """
 
     def __init__(self, gamora: Gamora, *, batch_window_ms: float = 5.0,
@@ -102,7 +104,7 @@ class GamoraDaemon:
                  max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None,
-                 engine: str = "fast", with_report: bool = True,
+                 with_report: bool = True,
                  default_deadline_ms: float | None = None,
                  watchdog_timeout_seconds: float | None = 300.0,
                  fault_plan: FaultPlan | None = None) -> None:
@@ -119,7 +121,6 @@ class GamoraDaemon:
             run_dir=run_dir, with_report=with_report,
         )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.default_engine = engine
         self.default_deadline_ms = (float(default_deadline_ms)
                                     if default_deadline_ms is not None
                                     else None)
@@ -278,7 +279,6 @@ class GamoraDaemon:
     def submit_async(self, circuit, request_id: str | None = None,
                      **options) -> RequestTicket:
         """Enqueue one circuit (see :meth:`MicroBatchScheduler.submit_async`)."""
-        options.setdefault("engine", self.default_engine)
         return self.scheduler.submit_async(circuit, request_id, **options)
 
     def submit(self, circuit, request_id: str | None = None,
@@ -351,13 +351,9 @@ class GamoraDaemon:
         if not isinstance(options, dict):
             return _error_response(request_id, "bad_request",
                                    "'options' must be an object")
-        unknown = set(options) - {"root_filter", "correct_lsb",
-                                  "lsb_outputs", "engine"}
-        if unknown:
-            return _error_response(
-                request_id, "bad_request",
-                f"unknown options: {sorted(unknown)}",
-            )
+        problem = _option_problem(options)
+        if problem is not None:
+            return _error_response(request_id, "bad_request", problem)
         deadline_ms = message.get("deadline_ms", self.default_deadline_ms)
         if deadline_ms is not None:
             if (isinstance(deadline_ms, bool)
@@ -397,6 +393,28 @@ class GamoraDaemon:
             "result": _outcome_payload(outcome),
             "stats": stats.to_dict(),
         }
+
+
+def _option_problem(options: dict) -> str | None:
+    """Why wire ``options`` cannot be served, or None when they can.
+
+    Values are checked here, at the boundary, so a wrong type is the
+    client's ``bad_request`` rather than an ``internal`` failure deep in
+    the scheduler — and so a negative ``lsb_outputs`` is refused instead
+    of slicing ``aig.outputs[:-1]`` into a near-whole-graph repair.
+    """
+    unknown = set(options) - {"root_filter", "correct_lsb", "lsb_outputs"}
+    if unknown:
+        return f"unknown options: {sorted(unknown)}"
+    for name in ("root_filter", "correct_lsb"):
+        if name in options and not isinstance(options[name], bool):
+            return f"'{name}' must be a boolean, got {options[name]!r}"
+    if "lsb_outputs" in options:
+        value = options["lsb_outputs"]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            return ("'lsb_outputs' must be a non-negative integer, "
+                    f"got {value!r}")
+    return None
 
 
 def _error_response(request_id, kind: str, message: str,
@@ -543,6 +561,12 @@ class DaemonServer:
         self._closing = True
         self._shutdown.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -109,12 +109,11 @@ def resolve_workers(workers: int | None, num_payloads: int | None = None,
 
 
 def _run_extraction(payload) -> tuple[PredictedExtraction, float]:
-    aig, labels, root_filter, correct_lsb, lsb_outputs, engine = payload
+    aig, labels, root_filter, correct_lsb, lsb_outputs = payload
     with Timer() as timer:
         extraction = extract_from_predictions(
             aig, labels, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-            engine=engine,
         )
     return extraction, timer.elapsed
 
@@ -242,9 +241,9 @@ class PostprocessPool:
         return self._executor is not None and not self._broken
 
     def submit(self, aig, labels, root_filter: bool, correct_lsb: bool,
-               lsb_outputs: int, engine: str = "fast") -> PostprocessHandle:
+               lsb_outputs: int) -> PostprocessHandle:
         """Queue one extraction; returns a handle to collect it from."""
-        payload = (aig, labels, root_filter, correct_lsb, lsb_outputs, engine)
+        payload = (aig, labels, root_filter, correct_lsb, lsb_outputs)
         executor = self._healthy_executor()
         if executor is None:
             return PostprocessHandle(self, None, value=_run_extraction(payload))

@@ -19,15 +19,13 @@ Two engines:
   rewriting of Yu et al. (TCAD'17) on top of either exact or
   Gamora-predicted adder trees.
 
-Relation resolution is batched by default (``engine="fast"``): one
-cone-restricted cut sweep delivers every root's truth over its slice
-leaves, matched against the roots' leaf rows with one fanin-array join,
-and the polarity search runs as a vectorized comparison against
-precomputed flip tables — replacing the per-adder ``node_cuts`` walk of
-:func:`_resolve_relation`, which stays as ``engine="legacy"`` (the
-differential oracle).  Both resolve identical relations on real adder
-trees; an unresolvable pair (pruned cuts) falls back to plain gate-level
-rewriting either way.
+Relation resolution is batched: one cone-restricted cut sweep delivers
+every root's truth over its slice leaves, matched against the roots' leaf
+rows with one fanin-array join, and the polarity search runs as a
+vectorized comparison against precomputed flip tables.  The per-adder
+``node_cuts`` walk it replaced lives in ``tests/oracles/`` as the
+reference; both resolve identical relations on real adder trees, and an
+unresolvable pair (pruned cuts) falls back to plain gate-level rewriting.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import numpy as np
 from repro.aig.graph import AIG
 from repro.aig.npn import MAJ3, XOR2, XOR3, apply_transform
 from repro.reasoning.adder_tree import AdderTree, extract_adder_tree
-from repro.techmap.mapper import _truth_over_leaves
 from repro.utils.timing import Timer
 from repro.verify.polynomial import Polynomial
 
@@ -83,43 +80,6 @@ class _AdderRelation:
     carry_flip: int
 
 
-def _resolve_relation(aig: AIG, adder) -> _AdderRelation | None:
-    """Find flips so that ``(sum ^ sf) + 2·(carry ^ cf) = Σ (leaf ^ f_i)``.
-
-    Mirrors the mapper's polarity resolution; an unresolvable pair (pruned
-    cuts) falls back to plain gate-level rewriting for those roots.
-    """
-    arity = len(adder.leaves)
-    sum_truth = _truth_over_leaves(aig, adder.sum_var, adder.leaves)
-    carry_truth = _truth_over_leaves(aig, adder.carry_var, adder.leaves)
-    if sum_truth is None or carry_truth is None:
-        return None
-    xor_ref = XOR3 if arity == 3 else XOR2
-    carry_ref = MAJ3 if arity == 3 else 0b1000
-    identity = tuple(range(arity))
-    full = (1 << (1 << arity)) - 1
-    for flip_bits in range(1 << arity):
-        flips = tuple((flip_bits >> j) & 1 for j in range(arity))
-        carry_cell = apply_transform(carry_ref, arity, identity, flips, 0)
-        if carry_cell == carry_truth:
-            carry_flip = 0
-        elif (carry_cell ^ full) == carry_truth:
-            carry_flip = 1
-        else:
-            continue
-        xor_cell = apply_transform(xor_ref, arity, identity, flips, 0)
-        if xor_cell == sum_truth:
-            sum_flip = 0
-        elif (xor_cell ^ full) == sum_truth:
-            sum_flip = 1
-        else:
-            continue
-        return _AdderRelation(
-            adder.sum_var, adder.carry_var, adder.leaves, flips, sum_flip, carry_flip
-        )
-    return None
-
-
 @lru_cache(maxsize=None)
 def _flip_tables(arity: int) -> tuple[np.ndarray, np.ndarray, int]:
     """``(xor_cells, carry_cells, full)`` for every flip combination.
@@ -152,7 +112,7 @@ def _truths_over_rows(cuts, vars_: np.ndarray, leaves: np.ndarray,
     leaf row; the first exact match yields the truth.  Returns ``(truth,
     found)`` — a root whose leaf set survives in no enumerated cut (pruned
     lists, or a hand-built slice wider than the k=3 sweep) is simply
-    unresolved, like :func:`_truth_over_leaves` returning None.
+    unresolved.
     """
     pad = cuts.num_vars
     # Rows wider than 3 leaves can never match a k<=3 cut; comparing only
@@ -173,15 +133,15 @@ def _truths_over_rows(cuts, vars_: np.ndarray, leaves: np.ndarray,
     return truth, found
 
 
-def _resolve_relations_fast(aig: AIG, tree: AdderTree,
-                            max_cuts: int = 12) -> dict[int, "_AdderRelation"]:
-    """All adders' polarity relations in one batch (``engine="fast"``).
+def _resolve_relations(aig: AIG, tree: AdderTree,
+                       max_cuts: int = 12) -> dict[int, "_AdderRelation"]:
+    """All adders' polarity relations in one batch.
 
     One cut sweep restricted to the roots' fan-in cones replaces every
     per-adder ``node_cuts`` re-derivation; the 2**arity flip search runs
     as one table comparison over all adders of each arity.  Emission
-    order (and the first-relation-per-sum-root rule) matches the legacy
-    loop exactly.
+    order (and the first-relation-per-sum-root rule) matches the per-adder
+    oracle in ``tests/oracles/`` exactly.
     """
     from repro.aig.fast_cuts import enumerate_cuts_arrays
 
@@ -274,38 +234,32 @@ def _maj_poly(x: Polynomial, y: Polynomial, z: Polynomial) -> Polynomial:
 
 
 def verify_multiplier(circuit, mode: str = "adder", tree: AdderTree | None = None,
-                      max_terms: int = 500_000,
-                      engine: str = "fast") -> SCAResult:
+                      max_terms: int = 500_000) -> SCAResult:
     """Verify that a multiplier netlist computes ``a * b``.
 
     ``circuit`` is a :class:`~repro.generators.GeneratedMultiplier` (or any
     object with ``aig``, ``a_literals``, ``b_literals``).  ``mode`` selects
     the naive or adder-aware engine; ``tree`` optionally supplies the adder
     tree (e.g. one recovered by Gamora) instead of exact extraction.
-    ``engine`` selects how slice relations are resolved: ``"fast"`` batches
-    every adder through one shared cut sweep, ``"legacy"`` keeps the
-    per-adder loop as the differential oracle.
 
     Raises :class:`TermExplosion` when the signature outgrows ``max_terms``
     — the expected behavior of the naive engine on non-trivial widths.
     """
     if mode not in ("adder", "naive"):
         raise ValueError(f"unknown SCA mode {mode!r}")
-    if engine not in ("fast", "legacy"):
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    aig: AIG = circuit.aig
     relations: dict[int, _AdderRelation] = {}
     if mode == "adder":
         if tree is None:
-            tree = extract_adder_tree(aig)
-        if engine == "fast":
-            relations = _resolve_relations_fast(aig, tree)
-        else:
-            for adder in tree.adders:
-                relation = _resolve_relation(aig, adder)
-                if relation is not None and relation.sum_var not in relations:
-                    relations[relation.sum_var] = relation
+            tree = extract_adder_tree(circuit.aig)
+        relations = _resolve_relations(circuit.aig, tree)
+    return _rewrite_signature(circuit, relations, mode, max_terms)
 
+
+def _rewrite_signature(circuit, relations: dict[int, _AdderRelation],
+                       mode: str, max_terms: int) -> SCAResult:
+    """Backward-rewrite the output signature, using ``relations`` for the
+    matched slices and gate-level products everywhere else."""
+    aig: AIG = circuit.aig
     # Substitution order: reverse topological, but each carry root is
     # processed immediately after its sum root so the -2*carry term
     # introduced by the sum's linear form cancels first.

@@ -1,11 +1,10 @@
-"""Differential tests: array-shaped pairing vs the legacy per-root loop.
+"""Differential tests: array-shaped pairing vs the per-root oracle loop.
 
-``extract_adder_tree(engine="fast")`` replaced the per-root Python pairing
-behind label generation and prediction post-processing, so it must agree
-with ``engine="legacy"`` *exactly* — same adders in the same order, same
-``consumed`` set — on every netlist family.  The legacy loop stays in the
-tree precisely to serve as the oracle here (mirroring
-``tests/test_fast_cuts.py`` for the cut sweep).  Both engines must also be
+``extract_adder_tree`` replaced the per-root Python pairing behind label
+generation and prediction post-processing, so it must agree with the
+per-root loop of ``tests/oracles/`` *exactly* — same adders in the same
+order, same ``consumed`` set — on every netlist family (mirroring
+``tests/test_fast_cuts.py`` for the cut sweep).  Both must also be
 deterministic functions of the detection *content*: shuffling dict
 insertion order or leaf-set list order must not change the tree.
 """
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from repro.aig import AIG, lit_var, read_aiger
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.generators.adders import reduce_columns, ripple_carry_adder
@@ -28,11 +28,16 @@ from repro.reasoning import (
     ha_carry_candidates,
     maximum_bipartite_matching,
 )
-from repro.reasoning.adder_tree import AdderTree, ExtractedAdder, _cone_between
+from repro.reasoning.adder_tree import AdderTree, ExtractedAdder
 from repro.reasoning.fast_pairing import PairingCandidates
 from repro.utils.random_circuits import random_aig
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.aag"))
+
+# Pairing implementations under test, keyed by parametrize id ("legacy"
+# is the per-root oracle).
+EXTRACTORS = {"fast": extract_adder_tree,
+              "legacy": oracles.extract_adder_tree}
 
 
 def assert_trees_equal(want: AdderTree, got: AdderTree, tag: str = "") -> None:
@@ -43,11 +48,11 @@ def assert_trees_equal(want: AdderTree, got: AdderTree, tag: str = "") -> None:
 
 def assert_engines_agree(aig: AIG, max_cuts: int = 10) -> AdderTree:
     detection = detect_xor_maj(aig, max_cuts=max_cuts)
-    legacy = extract_adder_tree(aig, detection, engine="legacy")
-    fast = extract_adder_tree(aig, detection, engine="fast")
+    legacy = oracles.extract_adder_tree(aig, detection)
+    fast = extract_adder_tree(aig, detection)
     assert_trees_equal(legacy, fast, "explicit detection")
-    # detection=None: the fast engine consumes the CutArrays sweep directly.
-    fast_sweep = extract_adder_tree(aig, max_cuts=max_cuts, engine="fast")
+    # detection=None: pairing consumes the CutArrays sweep directly.
+    fast_sweep = extract_adder_tree(aig, max_cuts=max_cuts)
     assert_trees_equal(legacy, fast_sweep, "shared-sweep path")
     return legacy
 
@@ -135,14 +140,19 @@ class TestExtractionEquivalence:
         assert (tree.num_full_adders, tree.num_half_adders) == (0, 1)
 
     def test_ground_truth_labels_engine_equivalence(self, csa4):
-        fast = ground_truth_labels(csa4.aig, engine="fast")
-        legacy = ground_truth_labels(csa4.aig, engine="legacy")
+        fast = ground_truth_labels(csa4.aig)
+        detection = oracles.detect_xor_maj(csa4.aig)
+        legacy = ground_truth_labels(
+            csa4.aig, detection,
+            oracles.extract_adder_tree(csa4.aig, detection),
+        )
         for task in ("root", "xor", "maj"):
             np.testing.assert_array_equal(fast[task], legacy[task])
 
     def test_unknown_engine_rejected(self, csa4):
-        with pytest.raises(ValueError, match="engine"):
-            extract_adder_tree(csa4.aig, engine="warp")
+        """The retired ``engine`` keyword is rejected, never ignored."""
+        with pytest.raises(TypeError):
+            extract_adder_tree(csa4.aig, engine="legacy")
 
 
 def _shuffled_detection(detection: XorMajDetection,
@@ -172,23 +182,22 @@ class TestDeterminism:
     def test_shuffled_detection_is_irrelevant(self, booth4, engine, seed):
         aig = booth4.aig
         detection = detect_xor_maj(aig)
-        reference = extract_adder_tree(aig, detection, engine=engine)
+        extract = EXTRACTORS[engine]
+        reference = extract(aig, detection)
         shuffled = _shuffled_detection(detection, seed)
-        assert_trees_equal(
-            reference, extract_adder_tree(aig, shuffled, engine=engine)
-        )
+        assert_trees_equal(reference, extract(aig, shuffled))
 
     def test_engines_agree_on_shuffled_detection(self, booth4):
         aig = booth4.aig
         shuffled = _shuffled_detection(detect_xor_maj(aig), 99)
         assert_trees_equal(
-            extract_adder_tree(aig, shuffled, engine="legacy"),
-            extract_adder_tree(aig, shuffled, engine="fast"),
+            oracles.extract_adder_tree(aig, shuffled),
+            extract_adder_tree(aig, shuffled),
         )
 
     def test_repeated_runs_identical(self, csa4):
-        first = extract_adder_tree(csa4.aig, engine="fast")
-        second = extract_adder_tree(csa4.aig, engine="fast")
+        first = extract_adder_tree(csa4.aig)
+        second = extract_adder_tree(csa4.aig)
         assert_trees_equal(first, second)
 
 
@@ -204,14 +213,14 @@ class TestConsumedInvariant:
     ], ids=["csa8", "booth8", "ripple8"])
     def test_no_overlap_with_later_match(self, engine, make):
         aig = make()
-        tree = extract_adder_tree(aig, engine=engine)
+        tree = EXTRACTORS[engine](aig)
         consumed_so_far: set[int] = set()
         for adder in tree.adders:
             assert adder.sum_var not in consumed_so_far, adder
             assert adder.carry_var not in consumed_so_far, adder
             leaf_set = set(adder.leaves)
-            interior = _cone_between(aig, adder.sum_var, leaf_set)
-            interior |= _cone_between(aig, adder.carry_var, leaf_set)
+            interior = oracles.cone_between(aig, adder.sum_var, leaf_set)
+            interior |= oracles.cone_between(aig, adder.carry_var, leaf_set)
             consumed_so_far |= interior
             consumed_so_far.add(adder.sum_var)
             consumed_so_far.add(adder.carry_var)
@@ -221,14 +230,14 @@ class TestConsumedInvariant:
     def test_no_overlap_random(self, seed):
         aig = random_aig(num_inputs=4, num_ands=50, num_outputs=3,
                          seed=5000 + seed)
-        tree = extract_adder_tree(aig, engine="fast")
+        tree = extract_adder_tree(aig)
         consumed_so_far: set[int] = set()
         for adder in tree.adders:
             assert adder.sum_var not in consumed_so_far
             assert adder.carry_var not in consumed_so_far
             leaf_set = set(adder.leaves)
-            consumed_so_far |= _cone_between(aig, adder.sum_var, leaf_set)
-            consumed_so_far |= _cone_between(aig, adder.carry_var, leaf_set)
+            for root in (adder.sum_var, adder.carry_var):
+                consumed_so_far |= oracles.cone_between(aig, root, leaf_set)
             consumed_so_far |= {adder.sum_var, adder.carry_var}
 
 

@@ -40,7 +40,7 @@ from repro.kernels.registry import (
     set_backend,
     warmup,
 )
-from repro.reasoning.fast_pairing import fast_extract_adder_tree
+from repro.reasoning.adder_tree import extract_adder_tree
 from repro.reasoning.wordlevel import analyze_adder_tree
 from repro.utils.random_circuits import random_aig
 
@@ -167,7 +167,7 @@ class TestRegistrySelection:
         assert active_backend() == "numpy"
         record = warmup()  # the daemon boot path
         assert record["backend"] == "numpy"
-        tree = fast_extract_adder_tree(csa_multiplier(4).aig)
+        tree = extract_adder_tree(csa_multiplier(4).aig)
         assert tree.num_full_adders > 0
 
 
@@ -176,7 +176,7 @@ class TestDispatchCounting:
         set_backend("numpy")
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
-        tree = fast_extract_adder_tree(aig)
+        tree = extract_adder_tree(aig)
         analyze_adder_tree(aig, tree)
         counts = dispatch_counts()
         for kernel in ("merge_level", "cone_sweep", "fa_join",
@@ -217,7 +217,7 @@ class TestCustomBackends:
         set_backend("probe")
         assert active_backend() == "probe"
         aig = csa_multiplier(5).aig
-        tree = fast_extract_adder_tree(aig)
+        tree = extract_adder_tree(aig)
         assert tree.num_full_adders > 0
         assert calls, "custom fa_join was not dispatched"
         counts = dispatch_counts()
@@ -314,7 +314,7 @@ def run_pipeline(aig: AIG, backend: str):
     """Everything the kernels touch, captured under one backend."""
     set_backend(backend)
     cuts = enumerate_cuts_arrays(aig, k=3, max_cuts=10)
-    tree = fast_extract_adder_tree(aig)
+    tree = extract_adder_tree(aig)
     report = analyze_adder_tree(aig, tree)
     return cuts, tree, report
 
@@ -352,7 +352,7 @@ class TestNumbaBitIdentity:
         set_backend("numba")
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
-        analyze_adder_tree(aig, fast_extract_adder_tree(aig))
+        analyze_adder_tree(aig, extract_adder_tree(aig))
         counts = dispatch_counts()
         for kernel in KERNEL_NAMES:
             backends = counts.get(kernel, {})

@@ -215,18 +215,6 @@ class TestServiceCaching:
             changed[0], gamora.reason(csa_multiplier(4), correct_lsb=False)
         )
 
-    def test_engine_keyed_separately_and_equivalent(self, gamora):
-        """The post-processing engine is part of the result-cache key, and
-        both engines serve identical trees through the service."""
-        service = ReasoningService(gamora)
-        circuit = csa_multiplier(4)
-        fast = service.reason_many([circuit])
-        legacy = service.reason_many([circuit], engine="legacy")
-        assert legacy.stats.result_hits == 0  # no cross-engine cache hits
-        assert fast[0].tree.adders == legacy[0].tree.adders
-        again = service.reason_many([circuit], engine="legacy")
-        assert again.stats.result_hits == 1
-
     def test_disabled_caches_still_equivalent(self, gamora):
         service = ReasoningService(gamora, graph_cache_size=0,
                                    result_cache_size=0)

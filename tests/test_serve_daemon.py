@@ -167,7 +167,7 @@ class TestExecutorRestart:
         """Submit with a hard-crash fault armed; returns the fallback result."""
         aig, labels = payload
         monkeypatch.setenv(FAULT_ENV, "exit")
-        handle = pool.submit(aig, labels, False, True, 4, "fast")
+        handle = pool.submit(aig, labels, False, True, 4)
         extraction, _ = handle.get()  # parent fallback, env not consulted
         monkeypatch.delenv(FAULT_ENV)
         return extraction
@@ -184,7 +184,7 @@ class TestExecutorRestart:
             assert not pool.parallel  # the crash broke the executor
             # Next submit replaces the executor and runs in a worker again.
             aig, labels = payload
-            handle = pool.submit(aig, labels, False, True, 4, "fast")
+            handle = pool.submit(aig, labels, False, True, 4)
             extraction, _ = handle.get()
             assert tree_key(extraction.tree) == tree_key(sequential[0].tree)
             assert pool.restarts == 1
@@ -202,7 +202,7 @@ class TestExecutorRestart:
             # Budget exhausted: in-process permanently, results still good.
             aig, labels = payload
             extraction, _ = pool.submit(
-                aig, labels, False, True, 4, "fast"
+                aig, labels, False, True, 4
             ).get()
             assert tree_key(extraction.tree) == tree_key(sequential[0].tree)
             assert not pool.parallel
@@ -471,6 +471,32 @@ class TestSocketProtocol:
                         response["error"]["type"] == "bad_request"
                     )
                     assert response["error"]["retriable"] is False
+                # Option values are checked at the wire boundary: a wrong
+                # type is the client's bad_request, never an internal error.
+                for options, fragment in [
+                    ({"engine": "fast"}, "unknown options"),
+                    ({"root_filter": 1}, "root_filter"),
+                    ({"correct_lsb": "yes"}, "correct_lsb"),
+                    ({"lsb_outputs": "x"}, "lsb_outputs"),
+                    ({"lsb_outputs": -1}, "lsb_outputs"),
+                    ({"lsb_outputs": True}, "lsb_outputs"),
+                    ({"lsb_outputs": 2.5}, "lsb_outputs"),
+                ]:
+                    response = client.request({
+                        "op": "reason", "netlist": "aag 0 0 0 0 0",
+                        "options": options,
+                    })
+                    assert not response["ok"], options
+                    assert response["error"]["type"] == "bad_request", options
+                    assert fragment in response["error"]["message"], options
+                    assert response["error"]["retriable"] is False
+                # Valid values still serve.
+                response = client.request({
+                    "op": "reason", "netlist": "aag 0 0 0 0 0",
+                    "options": {"root_filter": True, "correct_lsb": False,
+                                "lsb_outputs": 0},
+                })
+                assert response["ok"], response
                 # Malformed JSON doesn't kill the connection.
                 client._sock.sendall(b"{not json}\n")
                 line = client._reader.readline()
@@ -479,6 +505,21 @@ class TestSocketProtocol:
         finally:
             server.close()
             daemon.close()
+
+    def test_idle_server_closes_promptly(self, gamora, tmp_path):
+        """close() wakes the accept thread instead of waiting out its join
+        timeout: a started server with no clients shuts down at once."""
+        daemon = GamoraDaemon(gamora, batch_window_ms=1).start()
+        server = DaemonServer(daemon, tmp_path / "gamora.sock").start()
+        accept_thread = server._accept_thread
+        try:
+            started = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - started
+        finally:
+            daemon.close()
+        assert elapsed < 1.0, elapsed
+        assert not accept_thread.is_alive()
 
     def test_shutdown_op_releases_serve_forever(self, gamora, circuits,
                                                 tmp_path):

@@ -316,6 +316,34 @@ class TestPersistentResultCache:
         assert other.save_result_cache(spill) == 1
         assert twin.load_result_cache(spill) == 0  # stamp changed hands
 
+    def test_older_format_is_invalidated(self, gamora, tmp_path,
+                                         monkeypatch):
+        """A v5 directory (options keys still carrying the engine field)
+        loads nothing, serves cold, and is purged and respilled as v6."""
+        assert ReasoningService._CACHE_FORMAT == "gamora-result-cache-v6"
+        spill = tmp_path / "results"
+        with monkeypatch.context() as patch:
+            patch.setattr(ReasoningService, "_CACHE_FORMAT",
+                          "gamora-result-cache-v5")
+            old = ReasoningService(gamora)
+            old.reason_many([ZOO[0]()])
+            assert old.save_result_cache(spill) == 1
+        marker = spill / ReasoningService._MODEL_MARKER
+        assert marker.read_text().startswith("gamora-result-cache-v5:")
+        stale = set(spill.glob("*.npz"))
+        assert len(stale) == 1
+
+        service = ReasoningService(gamora)
+        assert service.load_result_cache(spill) == 0
+        cold = service.reason_many([ZOO[0]()])
+        assert cold.stats.result_hits == 0
+        assert cold.stats.unique_circuits == 1
+        assert service.save_result_cache(spill) == 1
+        assert marker.read_text().startswith("gamora-result-cache-v6:")
+        respilled = set(spill.glob("*.npz"))
+        assert len(respilled) == 1 and not respilled & stale
+        assert ReasoningService(gamora).load_result_cache(spill) == 1
+
     def test_never_touches_foreign_directories(self, gamora, tmp_path):
         """Unstamped dirs holding npz files are refused, not cleaned out."""
         service = ReasoningService(gamora)

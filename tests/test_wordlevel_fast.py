@@ -2,13 +2,14 @@
 
 The serving path must be array-shaped end to end — candidate arrays from
 the shared cut sweep through pairing, word-level analysis, and SCA
-relation resolution — while staying *bit-identical* to the legacy
-dict/per-adder path it replaced.  These suites pin both properties:
+relation resolution — while staying *bit-identical* to the dict/per-adder
+path it replaced, kept in ``tests/oracles/``.  These suites pin both
+properties:
 
 * the fast pipeline builds **zero** ``XorMajDetection`` dicts (counting
   adapter) yet still serves the dict view lazily when asked;
 * trees, word-level reports, comparison metrics, and SCA relations are
-  identical between engines over ripple/CSA/Booth/compressor netlists and
+  identical to the oracles' over ripple/CSA/Booth/compressor netlists and
   the AIGER fixtures;
 * report construction is deterministic: sorted collections, stable under
   shuffled detections and repeated runs.
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from repro.aig import AIG, read_aiger
 from repro.core.postprocess import extract_from_predictions
 from repro.generators import booth_multiplier, csa_multiplier
@@ -38,7 +40,7 @@ from repro.reasoning import (
     ground_truth_labels,
 )
 from repro.utils.random_circuits import random_aig
-from repro.verify.sca import _resolve_relation, _resolve_relations_fast
+from repro.verify.sca import _resolve_relations
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.aag"))
 
@@ -71,30 +73,32 @@ def family_aigs() -> list:
 
 
 class TestDictFreeServingPath:
-    """Acceptance criterion: engine='fast' builds zero XorMajDetection
+    """Acceptance criterion: post-processing builds zero XorMajDetection
     dicts on the extract_from_predictions path (counting adapter)."""
 
     def test_fast_extraction_builds_no_detection(self, csa4):
         labels = ground_truth_labels(csa4.aig)
         before = XorMajDetection.constructions
-        extraction = extract_from_predictions(csa4.aig, labels, engine="fast")
+        extraction = extract_from_predictions(csa4.aig, labels)
         assert XorMajDetection.constructions == before
         # ... and the word-level report doesn't need the dicts either.
         analyze_adder_tree(csa4.aig, extraction.tree)
         assert XorMajDetection.constructions == before
 
     def test_legacy_engine_still_builds_detections(self, csa4):
+        """The counter sees the per-node oracle's dicts, so the zero count
+        above is a real measurement, not a dead counter."""
         labels = ground_truth_labels(csa4.aig)
         before = XorMajDetection.constructions
-        extract_from_predictions(csa4.aig, labels, engine="legacy")
+        oracles.extract_from_predictions(csa4.aig, labels)
         assert XorMajDetection.constructions > before
 
     def test_detection_adapter_matches_legacy(self, booth4):
         """The lazy dict view must be *content-identical* to what the
-        legacy engine computes — including per-var leaf-list order."""
+        per-node oracle computes — including per-var leaf-list order."""
         labels = ground_truth_labels(booth4.aig)
-        fast = extract_from_predictions(booth4.aig, labels, engine="fast")
-        legacy = extract_from_predictions(booth4.aig, labels, engine="legacy")
+        fast = extract_from_predictions(booth4.aig, labels)
+        legacy = oracles.extract_from_predictions(booth4.aig, labels)
         assert fast.detection.xor_roots == legacy.detection.xor_roots
         assert fast.detection.maj_roots == legacy.detection.maj_roots
         # Accessing the adapter twice returns the same materialized object.
@@ -102,21 +106,21 @@ class TestDictFreeServingPath:
 
 
 class TestPipelineDifferential:
-    """Array-native path vs legacy dict path: bit-identical AdderTree and
-    WordLevelReport over every netlist family."""
+    """Array-native path vs the oracle dict path: bit-identical AdderTree
+    and WordLevelReport over every netlist family."""
 
     @staticmethod
     def assert_pipeline_identical(aig: AIG) -> None:
         labels = ground_truth_labels(aig)
-        fast = extract_from_predictions(aig, labels, engine="fast")
-        legacy = extract_from_predictions(aig, labels, engine="legacy")
+        fast = extract_from_predictions(aig, labels)
+        legacy = oracles.extract_from_predictions(aig, labels)
         assert fast.tree.adders == legacy.tree.adders
         assert fast.tree.consumed == legacy.tree.consumed
         assert fast.rejected_xor == legacy.rejected_xor
         assert fast.rejected_maj == legacy.rejected_maj
         assert fast.corrected_vars == legacy.corrected_vars
-        fast_report = analyze_adder_tree(aig, fast.tree, engine="fast")
-        legacy_report = analyze_adder_tree(aig, legacy.tree, engine="legacy")
+        fast_report = analyze_adder_tree(aig, fast.tree)
+        legacy_report = oracles.analyze_adder_tree(aig, legacy.tree)
         assert fast_report == legacy_report
         assert fast_report.summary() == legacy_report.summary()
 
@@ -140,9 +144,10 @@ class TestPipelineDifferential:
         self.assert_pipeline_identical(aig)
 
     def test_engine_validation(self, csa4):
+        """The retired ``engine`` keyword is rejected, never ignored."""
         tree = extract_adder_tree(csa4.aig)
-        with pytest.raises(ValueError, match="engine"):
-            analyze_adder_tree(csa4.aig, tree, engine="warp")
+        with pytest.raises(TypeError):
+            analyze_adder_tree(csa4.aig, tree, engine="legacy")
 
 
 class TestBatchedAnalysis:
@@ -181,11 +186,12 @@ class TestBatchedAnalysis:
         ]
 
     def test_legacy_engine_falls_back_per_tree(self):
-        items = [(aig, extract_adder_tree(aig, engine="legacy"))
+        """Trees built by the per-root oracle (list-built, not core-built)
+        batch to the per-tree oracle reports."""
+        items = [(aig, oracles.extract_adder_tree(aig))
                  for aig in family_aigs()[:2]]
-        assert analyze_adder_trees(items, engine="legacy") == [
-            analyze_adder_tree(aig, tree, engine="legacy")
-            for aig, tree in items
+        assert analyze_adder_trees(items) == [
+            oracles.analyze_adder_tree(aig, tree) for aig, tree in items
         ]
 
 
@@ -327,13 +333,13 @@ class TestAdderTreeCore:
         """Handing out the mutable adders view forfeits the cached core:
         in-place replacement on an engine-built tree must reach the array
         consumers too."""
-        tree = extract_adder_tree(csa4.aig, engine="fast")
+        tree = extract_adder_tree(csa4.aig)
         view = tree.adders
         view[0] = ExtractedAdder("HA", 999, 998, (1, 2))
         assert int(tree.arrays().sum_var[0]) == 999
         assert 999 in tree.root_vars()
-        fast = analyze_adder_tree(csa4.aig, tree, engine="fast")
-        legacy = analyze_adder_tree(csa4.aig, tree, engine="legacy")
+        fast = analyze_adder_tree(csa4.aig, tree)
+        legacy = oracles.analyze_adder_tree(csa4.aig, tree)
         assert fast == legacy
 
     def test_same_length_mutation_is_seen(self):
@@ -356,19 +362,16 @@ class TestAdderTreeCore:
         assert left != AdderTree(adders=[ExtractedAdder("HA", 5, 7, (2, 3))])
         with pytest.raises(TypeError):
             hash(left)
-        fast = extract_adder_tree(csa4.aig, engine="fast")  # core-built
-        legacy = extract_adder_tree(
-            csa4.aig, detect_xor_maj(csa4.aig), engine="legacy")
+        fast = extract_adder_tree(csa4.aig)  # core-built
+        legacy = oracles.extract_adder_tree(csa4.aig, detect_xor_maj(csa4.aig))
         assert fast == legacy
         labels = ground_truth_labels(csa4.aig)
-        assert (extract_from_predictions(csa4.aig, labels, engine="fast")
-                == extract_from_predictions(csa4.aig, labels,
-                                            engine="legacy"))
+        assert (extract_from_predictions(csa4.aig, labels)
+                == oracles.extract_from_predictions(csa4.aig, labels))
 
     def test_consumed_view_matches_mask(self, csa4):
-        fast = extract_adder_tree(csa4.aig, engine="fast")
-        legacy = extract_adder_tree(
-            csa4.aig, detect_xor_maj(csa4.aig), engine="legacy")
+        fast = extract_adder_tree(csa4.aig)
+        legacy = oracles.extract_adder_tree(csa4.aig, detect_xor_maj(csa4.aig))
         assert fast.consumed == legacy.consumed
 
     def test_pickle_round_trip(self, csa4):
@@ -376,7 +379,7 @@ class TestAdderTreeCore:
         import pickle
 
         labels = ground_truth_labels(csa4.aig)
-        extraction = extract_from_predictions(csa4.aig, labels, engine="fast")
+        extraction = extract_from_predictions(csa4.aig, labels)
         clone = pickle.loads(pickle.dumps(extraction))
         assert clone.tree.adders == extraction.tree.adders
         assert clone.tree.consumed == extraction.tree.consumed
@@ -397,37 +400,34 @@ class TestScaRelationEngines:
     def test_relations_identical(self, make):
         aig = make()
         tree = extract_adder_tree(aig)
-        legacy = {}
-        for adder in tree.adders:
-            relation = _resolve_relation(aig, adder)
-            if relation is not None and relation.sum_var not in legacy:
-                legacy[relation.sum_var] = relation
-        assert _resolve_relations_fast(aig, tree) == legacy
+        legacy = oracles.resolve_relations(aig, tree)
+        assert _resolve_relations(aig, tree) == legacy
 
     def test_verify_results_identical(self):
         from repro.verify import verify_multiplier
 
         gen = csa_multiplier(4)
-        fast = verify_multiplier(gen, engine="fast")
-        legacy = verify_multiplier(gen, engine="legacy")
+        fast = verify_multiplier(gen)
+        legacy = oracles.verify_multiplier(gen)
         assert fast.ok and legacy.ok
         assert fast.substitutions == legacy.substitutions
         assert fast.peak_terms == legacy.peak_terms
         assert fast.residue_terms == legacy.residue_terms
 
     def test_engine_validation(self):
+        """The retired ``engine`` keyword is rejected, never ignored."""
         from repro.verify import verify_multiplier
 
-        with pytest.raises(ValueError, match="engine"):
-            verify_multiplier(csa_multiplier(2), engine="warp")
+        with pytest.raises(TypeError):
+            verify_multiplier(csa_multiplier(2), engine="legacy")
 
     def test_empty_tree(self):
         aig = ripple(2)
-        assert _resolve_relations_fast(aig, AdderTree()) == {}
+        assert _resolve_relations(aig, AdderTree()) == {}
 
     def test_wide_slice_is_unresolved_not_a_crash(self):
         """A hand-built tree with a >3-leaf slice must degrade exactly
-        like the legacy engine: unresolved (gate-level fallback), not a
+        like the per-adder oracle: unresolved (gate-level fallback), not a
         broadcast error."""
         from repro.verify import verify_multiplier
 
@@ -436,13 +436,7 @@ class TestScaRelationEngines:
         wide = AdderTree(adders=tree.adders + [
             ExtractedAdder("FA", tree.adders[0].sum_var + 0, 1, (1, 2, 3, 4)),
         ])
-        fast = _resolve_relations_fast(gen.aig, wide)
-        legacy = {}
-        for adder in wide.adders:
-            relation = _resolve_relation(gen.aig, adder)
-            if relation is not None and relation.sum_var not in legacy:
-                legacy[relation.sum_var] = relation
-        assert fast == legacy
-        result = verify_multiplier(gen, tree=wide, engine="fast")
-        assert result.ok == verify_multiplier(gen, tree=wide,
-                                              engine="legacy").ok
+        fast = _resolve_relations(gen.aig, wide)
+        assert fast == oracles.resolve_relations(gen.aig, wide)
+        result = verify_multiplier(gen, tree=wide)
+        assert result.ok == oracles.verify_multiplier(gen, tree=wide).ok
