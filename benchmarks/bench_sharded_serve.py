@@ -1,20 +1,19 @@
-"""Sharded + parallel serving vs the monolithic batched path (PR 1).
+"""Sharded + parallel serving vs the monolithic batched path.
 
 End-to-end throughput of ``ReasoningService.reason_many`` on a
 post-processing-heavy request stream — 16 mixed 8–16-bit multipliers, cold
 caches — comparing:
 
 * the **monolithic** path: one block-diagonal mega-pass, in-process
-  extraction (exactly the PR 1 behavior, ``max_shard_bytes=None``,
-  ``postprocess_workers=0``);
-* the **sharded + parallel** path: forward passes bounded by a
-  ``max_shard_bytes`` budget (~total/4, so the stream genuinely splits)
-  and extraction fanned out to worker processes overlapped with the next
-  shard's inference.
+  extraction (``max_window_bytes=None``, ``postprocess_workers=0``);
+* the **sharded + parallel** path: whole designs packed into forward steps
+  bounded by a ``max_window_bytes`` budget (~total/4, so the stream
+  genuinely splits) and extraction fanned out to worker processes
+  overlapped with the next step's inference.
 
 Reported per path: total wall time, speedup, per-stage breakdown, and the
-peak estimated shard memory against the configured budget.  Asserted
-always: every executed shard stays within the budget, and both paths
+peak estimated step memory against the configured budget.  Asserted
+always: every executed step stays within the budget, and both paths
 produce identical adder trees.  The >=1.5x end-to-end speedup claim is
 asserted on parallel hardware (>= 2 CPUs, e.g. CI runners); on a single
 CPU there is nothing for the workers to run on, so only a bounded-overhead
@@ -47,21 +46,21 @@ def sharded_comparison():
     circuits = [bench_multiplier(w) for w in STREAM_WIDTHS]
 
     # Budget ~ a quarter of the full mega-batch (but never below the largest
-    # single design, so nothing lands in an oversize shard).  Derived through
-    # a throwaway service so both measured services start cold.  A 1-byte
-    # budget makes every unique design an oversize singleton, which exposes
-    # the per-design standalone estimates.
+    # single design, so no design is split into windows).  Derived through
+    # a throwaway service so both measured services start cold.
     planner = ReasoningService(gamora)
-    total_bytes = planner.plan(circuits, None).peak_shard_bytes
-    standalone = [s.estimated_bytes for s in planner.plan(circuits, 1)]
-    budget = max(max(standalone), total_bytes // 4)
+    kernel = gamora.inference_kernel()
+    (_, unbounded), = planner.plan(circuits, None)
+    standalone = [estimate_batch_memory(kernel, [planner.encode(c)])
+                  for c in circuits]
+    budget = max(max(standalone), unbounded.peak_window_bytes // 4)
     plan = planner.plan(circuits, budget)
 
     monolithic_service = ReasoningService(gamora)
     monolithic = monolithic_service.reason_many(circuits)
 
     sharded_service = ReasoningService(
-        gamora, max_shard_bytes=budget, postprocess_workers=WORKERS
+        gamora, max_window_bytes=budget, postprocess_workers=WORKERS
     )
     sharded = sharded_service.reason_many(circuits)
 
@@ -80,26 +79,27 @@ def sharded_comparison():
 
 
 def test_sharded_memory_stays_under_budget(sharded_comparison, benchmark):
-    """Every planned and executed shard fits the configured byte budget."""
+    """Every planned and executed step fits the configured byte budget."""
     keep_under_benchmark_only(benchmark)
     budget = sharded_comparison["budget"]
     plan = sharded_comparison["plan"]
     assert len(plan) > 1, "budget must genuinely split this stream"
-    assert plan.num_oversize == 0
-    for shard in plan:
-        assert shard.estimated_bytes <= budget
+    for _, step in plan:
+        assert step.num_windows == 1  # packed whole, never split
+        assert step.peak_window_bytes <= budget
     executed = sharded_comparison["sharded"]
     assert executed.num_shards == len(plan)
-    assert 0 < executed.peak_shard_bytes <= budget
-    # The monolithic pass really needed more than one shard's worth.
-    assert sharded_comparison["monolithic"].peak_shard_bytes > budget
+    assert executed.streamed_graphs == 0
+    assert 0 < executed.peak_window_bytes <= budget
+    # The monolithic pass really needed more than one step's worth.
+    assert sharded_comparison["monolithic"].peak_window_bytes > budget
 
 
 def test_sharded_parallel_throughput(sharded_comparison, benchmark):
-    """End-to-end: sharded + parallel >= 1.5x over the monolithic PR 1 path.
+    """End-to-end: sharded + parallel >= 1.5x over the monolithic path.
 
     The speedup comes from fanning the dominant stage (per-circuit
-    extraction) across worker processes while the next shard's forward
+    extraction) across worker processes while the next step's forward
     pass runs.  It requires hardware parallelism: on >= 2 CPUs the 1.5x
     floor is asserted; on a single CPU the same configuration must instead
     stay within 1.35x of the monolithic path (fork + pickle overhead with
@@ -117,13 +117,13 @@ def test_sharded_parallel_throughput(sharded_comparison, benchmark):
             f"({len(STREAM_WIDTHS)} mixed multipliers, "
             f"budget {budget / 1024 ** 2:.1f}MiB, "
             f"{WORKERS} workers on {NUM_CPUS} CPU(s))",
-            ["path", "total", "speedup", "peak shard", "detail"],
+            ["path", "total", "speedup", "peak step", "detail"],
             [
-                ["monolithic (PR 1)", format_seconds(monolithic.total_seconds),
-                 "1.00x", f"{monolithic.peak_shard_bytes / 1024 ** 2:.1f}MiB",
+                ["monolithic", format_seconds(monolithic.total_seconds),
+                 "1.00x", f"{monolithic.peak_window_bytes / 1024 ** 2:.1f}MiB",
                  monolithic.summary()],
                 ["sharded + parallel", format_seconds(sharded.total_seconds),
-                 f"{speedup:.2f}x", f"{sharded.peak_shard_bytes / 1024 ** 2:.1f}MiB",
+                 f"{speedup:.2f}x", f"{sharded.peak_window_bytes / 1024 ** 2:.1f}MiB",
                  sharded.summary()],
             ],
         ),
@@ -143,7 +143,7 @@ def test_sharded_parallel_throughput(sharded_comparison, benchmark):
 
 
 def test_sharded_serve_kernel(benchmark):
-    """The representative kernel: one sharded, worker-backed batch."""
+    """The representative kernel: one budgeted, worker-backed batch."""
     gamora = trained_gamora(train_widths=(8,))
     circuits = [bench_multiplier(w) for w in (8, 10, 12, 8)]
     encoder = ReasoningService(gamora)
@@ -154,7 +154,7 @@ def test_sharded_serve_kernel(benchmark):
 
     def run():
         service = ReasoningService(
-            gamora, max_shard_bytes=budget, postprocess_workers=WORKERS
+            gamora, max_window_bytes=budget, postprocess_workers=WORKERS
         )
         return service.reason_many(circuits)
 

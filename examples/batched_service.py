@@ -9,11 +9,12 @@ Demonstrates the serving layer added on top of :class:`repro.core.Gamora`:
 * the structural-hash LRU caches — a re-submitted design is served straight
   from the result cache on later batches (the steady state under real
   traffic, where popular designs repeat);
-* memory-bounded sharding — ``max_shard_bytes`` splits the mega-batch so
-  every forward pass fits an explicit inference-memory budget;
+* one memory budget — ``max_window_bytes`` packs the mega-batch into
+  forward steps that each fit an explicit inference-memory budget (a
+  design too large on its own streams in level windows within it);
 * parallel post-processing — ``postprocess_workers`` fans the dominant
   per-circuit extraction stage out to worker processes, overlapped with the
-  next shard's inference.
+  next step's inference.
 
 Run with::
 
@@ -70,16 +71,19 @@ def main() -> None:
 
     # Scaling knobs: bound each forward pass's memory to half the full
     # mega-batch and extract in worker processes (overlapped with the next
-    # shard's inference).  Results are bit-identical to the paths above.
-    budget = service.plan(stream, None).peak_shard_bytes // 2
+    # step's inference).  Results are bit-identical to the paths above.
+    (_, unbounded), = service.plan(stream, None)
+    budget = unbounded.peak_window_bytes // 2
     workers = min(2, os.cpu_count() or 1)
-    scaled = ReasoningService(gamora, max_shard_bytes=budget,
+    scaled = ReasoningService(gamora, max_window_bytes=budget,
                               postprocess_workers=workers)
-    plan = scaled.plan(stream)
-    print(f"\nsharded serving (budget {budget / 1024 ** 2:.1f}MiB, "
-          f"{workers} workers): {plan.summary()}")
+    steps = scaled.plan(stream)
+    windows = sum(plan.num_windows for _, plan in steps)
+    print(f"\nbudgeted serving (budget {budget / 1024 ** 2:.1f}MiB, "
+          f"{workers} workers): {len(steps)} forward step(s), "
+          f"{windows} window(s)")
     bounded = scaled.reason_many(stream)
-    print(f"sharded + parallel:       "
+    print(f"budgeted + parallel:      "
           f"{format_seconds(bounded.stats.total_seconds)}"
           f"  [{bounded.stats.summary()}]")
     for left, right in zip(cold, bounded):

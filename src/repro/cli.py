@@ -93,13 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encoded-graph LRU capacity (0 disables)")
     batch.add_argument("--result-cache", type=int, default=256,
                        help="reasoning-result LRU capacity (0 disables)")
-    batch.add_argument("--max-shard-bytes", type=int, default=None,
-                       help="memory budget per block-diagonal shard "
-                            "(default: no sharding, one monolithic pass)")
     batch.add_argument("--max-window-bytes", type=int, default=None,
-                       help="memory budget per streaming window: netlists "
-                            "too large for any shard run level-windowed "
-                            "under this budget (default: full-graph pass)")
+                       help="memory budget per forward step: netlists are "
+                            "packed into block-diagonal passes under it, and "
+                            "one too large on its own runs level-windowed "
+                            "(default: one monolithic pass)")
     batch.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for per-netlist post-processing "
                             "(default: auto-size from cpu count and batch "
@@ -145,14 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encoded-graph LRU capacity (0 disables)")
     serve.add_argument("--result-cache", type=int, default=512,
                        help="reasoning-result LRU capacity (0 disables)")
-    serve.add_argument("--max-shard-bytes", type=int, default=None,
-                       help="memory budget per block-diagonal shard "
-                            "(default: one monolithic pass per micro-batch)")
     serve.add_argument("--max-window-bytes", type=int, default=None,
-                       help="memory budget per streaming window: circuits "
-                            "too large for any shard are still admitted and "
-                            "run level-windowed under this budget (default: "
-                            "full-graph pass)")
+                       help="memory budget per forward step: circuits are "
+                            "packed into block-diagonal passes under it, and "
+                            "one too large on its own is still admitted and "
+                            "runs level-windowed (default: one monolithic "
+                            "pass per micro-batch)")
     serve.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for post-processing (default: "
                             "auto-size per batch; 0 forces in-process)")
@@ -250,6 +246,8 @@ def _cmd_train(args) -> int:
     from repro.core import Gamora
     from repro.learn import TrainConfig, plan_training_windows
 
+    if _check_budget(args, "train") is not None:
+        return 2
     checkpoint = args.checkpoint
     if checkpoint is None and args.checkpoint_every:
         checkpoint = f"{args.model_out}.ckpt"
@@ -294,6 +292,23 @@ def _cmd_reason(args) -> int:
           f"post-processing {format_seconds(outcome.postprocess_seconds)}, "
           f"{outcome.num_mismatches} mismatches")
     return 0
+
+
+def _check_budget(args, command: str) -> str | None:
+    """Fail fast on a non-positive ``--max-window-bytes``.
+
+    Returns the one-line error already printed to stderr, or ``None`` when
+    the budget is unset or positive.
+    """
+    from repro.learn import check_window_budget
+
+    try:
+        check_window_budget(args.max_window_bytes)
+    except ValueError as error:
+        message = f"{command}: {error}"
+        print(message, file=sys.stderr)
+        return message
+    return None
 
 
 def _check_cache_dir(cache_dir: str, command: str,
@@ -359,6 +374,8 @@ def _cmd_batch_reason(args) -> int:
     if not args.netlists:
         print("batch-reason: no netlists given", file=sys.stderr)
         return 2
+    if _check_budget(args, "batch-reason") is not None:
+        return 2
     if args.cache_dir and _check_cache_dir(args.cache_dir,
                                            "batch-reason") is not None:
         return 2
@@ -374,7 +391,6 @@ def _cmd_batch_reason(args) -> int:
     service = ReasoningService(
         gamora, graph_cache_size=args.graph_cache,
         result_cache_size=args.result_cache,
-        max_shard_bytes=args.max_shard_bytes,
         max_window_bytes=args.max_window_bytes,
         postprocess_workers=args.postprocess_workers,
     )
@@ -428,6 +444,8 @@ def _cmd_serve(args) -> int:
     from repro.core import Gamora
     from repro.serve import DaemonServer, FaultPlan, GamoraDaemon
 
+    if _check_budget(args, "serve") is not None:
+        return 2
     if args.cache_dir and _check_cache_dir(args.cache_dir, "serve",
                                            daemon_quarantines=True) is not None:
         return 2
@@ -449,7 +467,6 @@ def _cmd_serve(args) -> int:
         run_dir=args.run_dir,
         graph_cache_size=args.graph_cache,
         result_cache_size=args.result_cache,
-        max_shard_bytes=args.max_shard_bytes,
         max_window_bytes=args.max_window_bytes,
         postprocess_workers=args.postprocess_workers,
         with_report=not args.no_report,

@@ -40,14 +40,14 @@ class ReasoningOutcome:
 
     ``report`` is filled only by the batched serving path when asked
     (``reason_many(..., with_report=True)`` — one concatenated
-    word-level pass per batch); ``shard_index`` records which
-    block-diagonal shard ran this circuit's forward pass (``None`` when
-    the outcome was served from the result cache or came from the
-    sequential path).  ``streamed`` is True when the forward pass ran
-    window-by-window under a ``max_window_bytes`` budget (labels are
+    word-level pass per batch); ``shard_index`` records which forward
+    step ran this circuit's forward pass (``None`` when the outcome was
+    served from the result cache or came from the sequential path).
+    ``streamed`` is True when that step ran split into level windows (a
+    circuit over the ``max_window_bytes`` budget; labels are
     bit-identical to the full-graph pass either way).  ``degraded`` is
-    True when the full-graph pass raised :class:`MemoryError` and the
-    outcome was served by the streamed fallback at a halved budget —
+    True when the one-window pass raised :class:`MemoryError` and the
+    outcome was served by the windowed re-run at half its estimate —
     same answer, produced the resilient way.
     """
 
@@ -142,7 +142,7 @@ class Gamora:
 
         Every serving-path prediction (:meth:`predict`, :meth:`reason`,
         :meth:`predict_many`, and the batched service) runs through this
-        one snapshot, so sequential, sharded, and streamed answers are
+        one snapshot, so sequential, packed, and streamed answers are
         bit-identical to each other.  Recompiled lazily after :meth:`fit`.
         """
         from repro.learn.fast import compile_inference
@@ -183,21 +183,20 @@ class Gamora:
 
     def reason_many(self, circuits, root_filter: bool = False,
                     correct_lsb: bool = True, lsb_outputs: int = 4,
-                    max_shard_bytes: int | None = None,
                     max_window_bytes: int | None = None,
                     postprocess_workers: int | None = None,
                     with_report: bool = False):
         """Batched :meth:`reason` over many circuits via the serving layer.
 
         Circuits are deduplicated by structural hash, encoded through an
-        LRU cache, merged into block-diagonal shards (each kept under
-        ``max_shard_bytes`` of estimated inference memory when set; one
-        monolithic pass otherwise; with ``max_window_bytes`` also set, a
-        circuit too large for any shard streams level-window by
-        level-window under that budget instead of running one unbounded
-        pass — labels bit-identical either way), inferred shard by shard, and
+        LRU cache, and planned into forward steps under one memory budget,
+        ``max_window_bytes`` (``None``: one monolithic pass): whole
+        circuits are merged into block-diagonal steps whose estimated
+        inference memory stays under the budget, and a circuit over the
+        budget on its own streams level-window by level-window within it —
+        labels bit-identical either way.  Each step is inferred, then
         post-processed per circuit — in ``postprocess_workers`` worker
-        processes overlapped with the next shard's inference when > 0
+        processes overlapped with the next step's inference when > 0
         (``None``, the default, auto-sizes from ``os.cpu_count()`` and the
         batch's circuit sizes; small batches stay in-process).
         Returns a :class:`repro.serve.BatchReasoningOutcome` — a sequence
@@ -214,7 +213,6 @@ class Gamora:
         return self._service.reason_many(
             circuits, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-            max_shard_bytes=max_shard_bytes,
             max_window_bytes=max_window_bytes,
             postprocess_workers=postprocess_workers,
             with_report=with_report,

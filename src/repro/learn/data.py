@@ -36,7 +36,9 @@ __all__ = [
     "adjacency_operator",
     "build_graph_data",
     "batch_graphs",
+    "check_window_budget",
     "halo_blocks",
+    "plan_batch",
     "sub_adjacency",
     "unbatch_predictions",
 ]
@@ -294,15 +296,111 @@ class GraphData:
         from repro.learn.infer import estimate_window_memory
 
         num_hops = model.config.num_layers
-        sizes = [self.num_nodes] * (num_hops + 1)
-        edges = [self.num_edges] * num_hops
-        cost = int(estimate_window_memory(model, sizes, edges,
-                                          training=training))
-        window = Window(np.arange(self.num_nodes, dtype=np.int64),
-                        sizes, edges, cost)
+        cost = estimate_window_memory(
+            model, [self.num_nodes] * (num_hops + 1),
+            [self.num_edges] * num_hops, training=training,
+        )
+        plan = _full_cover_plan(self.num_nodes, self.num_edges, num_hops, cost)
         if training:
-            self._attach_training_slices(window)
-        return WindowPlan(self.num_nodes, num_hops, cost, [window])
+            self._attach_training_slices(plan.windows[0])
+        return plan
+
+
+def check_window_budget(max_window_bytes: int | None) -> int | None:
+    """The one budget rule shared by training and serving.
+
+    ``None`` means unbounded; any other value must be a positive byte
+    count.  Returns the budget unchanged so callers can validate inline.
+    """
+    if max_window_bytes is not None and max_window_bytes <= 0:
+        raise ValueError(f"max_window_bytes must be a positive byte count "
+                         f"(got {max_window_bytes})")
+    return max_window_bytes
+
+
+def _full_cover_plan(num_nodes: int, num_edges: int, num_hops: int,
+                    cost: int) -> WindowPlan:
+    """A one-window plan whose single window targets every node.
+
+    Every halo block is the whole node set, so the executor runs it as the
+    monolithic pass.  The plan's budget is the window's own ``cost``, so
+    ``within_budget`` holds and ``peak_window_bytes`` reports that cost.
+    """
+    cost = int(cost)
+    window = Window(np.arange(num_nodes, dtype=np.int64),
+                    [num_nodes] * (num_hops + 1), [num_edges] * num_hops,
+                    cost)
+    return WindowPlan(num_nodes, num_hops, cost, [window])
+
+
+def plan_batch(model, graphs: list[GraphData],
+               max_window_bytes: int | None = None,
+               ) -> list[tuple[list[int], WindowPlan]]:
+    """Execution plan of one batch: ``(member indices, WindowPlan)`` per step.
+
+    Each step is one forward pass over the block-diagonal merge of its
+    members (``indices`` are ascending positions in ``graphs``), run by
+    :meth:`~repro.learn.fast.FastInference.predict_streamed` over the
+    step's plan, whose node ids are those of the merged graph.
+
+    * ``max_window_bytes=None``: one step holding every graph in a
+      one-window plan — the monolithic pass.
+    * Otherwise whole graphs are first-fit-decreasing packed into
+      one-window steps whose combined
+      :func:`~repro.learn.infer.estimate_inference_memory` stays within the
+      budget (the estimate is monotone in nodes and edges, so re-pricing
+      the merged totals is exact).  A graph over the budget on its own
+      becomes its own step with :meth:`GraphData.window_plan` at the budget.
+
+    ``model`` is a ``GamoraNet`` or a compiled
+    :class:`~repro.learn.fast.FastInference`; it sets the pricing and the
+    halo depth.  Steps are ordered by their smallest member, so the plan is
+    deterministic for a given input.
+    """
+    from repro.learn.infer import estimate_inference_memory
+
+    check_window_budget(max_window_bytes)
+    if not graphs:
+        return []
+    num_hops = model.config.num_layers
+
+    def one_window(indices: list[int]) -> WindowPlan:
+        nodes = sum(graphs[i].num_nodes for i in indices)
+        edges = sum(graphs[i].num_edges for i in indices)
+        return _full_cover_plan(nodes, edges, num_hops,
+                               estimate_inference_memory(model, nodes, edges))
+
+    if max_window_bytes is None:
+        everything = list(range(len(graphs)))
+        return [(everything, one_window(everything))]
+
+    standalone = [
+        estimate_inference_memory(model, g.num_nodes, g.num_edges)
+        for g in graphs
+    ]
+    # Largest first; ties broken by input position for determinism.
+    order = sorted(range(len(graphs)), key=lambda i: (-standalone[i], i))
+    bins: list[list] = []  # [members, nodes, edges] per packed step
+    steps: list[tuple[list[int], WindowPlan]] = []
+    for index in order:
+        graph = graphs[index]
+        if standalone[index] > max_window_bytes:
+            steps.append(([index], graph.window_plan(max_window_bytes, model)))
+            continue
+        for packed in bins:
+            nodes = packed[1] + graph.num_nodes
+            edges = packed[2] + graph.num_edges
+            if estimate_inference_memory(model, nodes, edges) <= max_window_bytes:
+                packed[0].append(index)
+                packed[1], packed[2] = nodes, edges
+                break
+        else:
+            bins.append([[index], graph.num_nodes, graph.num_edges])
+    for members, _, _ in bins:
+        members.sort()
+        steps.append((members, one_window(members)))
+    steps.sort(key=lambda step: step[0][0])
+    return steps
 
 
 def adjacency_operator(aig: AIG, direction: str = "in") -> sp.csr_matrix:

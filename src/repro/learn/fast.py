@@ -126,7 +126,12 @@ class FastInference:
         for weight, bias, width in self._convs:
             neighborhood = adj @ hidden
             stacked = np.concatenate([hidden, neighborhood], axis=1)
+            # Free each temporary before the next allocation: a layer's
+            # leftovers must not overlap the next layer's live set, or the
+            # measured peak outgrows estimate_inference_memory.
+            del neighborhood
             hidden = self._affine(stacked, weight, bias, width)
+            del stacked
             np.maximum(hidden, 0.0, out=hidden)
         return self._head_logits(hidden)
 
@@ -162,17 +167,27 @@ class FastInference:
                 f"features have {features.shape[0]}"
             )
         for window in plan.windows:
+            if window.num_targets == plan.num_nodes:
+                # Full cover: the halo is the whole graph, so the monolithic
+                # pass is the same computation without the gathers.
+                yield window.targets, self.logits(features, adjacency)
+                continue
             blocks = halo_blocks(adjacency, window.targets, len(self._convs))
             hidden = np.ascontiguousarray(features[blocks[0]], dtype=self.dtype)
             for j, (weight, bias, width) in enumerate(self._convs):
                 rows, cols = blocks[j + 1], blocks[j]
                 sub = sub_adjacency(adjacency, rows, cols).astype(self.dtype)
                 neighborhood = sub @ hidden
+                del sub
                 self_rows = hidden[np.searchsorted(cols, rows)]
                 stacked = np.concatenate([self_rows, neighborhood], axis=1)
+                del self_rows, neighborhood
                 hidden = self._affine(stacked, weight, bias, width)
+                del stacked
                 np.maximum(hidden, 0.0, out=hidden)
-            yield window.targets, self._head_logits(hidden)
+            head_logits = self._head_logits(hidden)
+            del hidden, blocks
+            yield window.targets, head_logits
 
     def logits_streamed(self, features: np.ndarray, adjacency: sp.spmatrix,
                         plan) -> dict[str, np.ndarray]:

@@ -102,7 +102,7 @@ def _model_spec(model: GamoraNet | FastInference):
     float64 training tensors of a :class:`GamoraNet`, the snapshot dtype's
     itemsize (4 for the stock float32 kernel) for a compiled
     :class:`FastInference` — previously the serving path was priced at
-    float64 and shard/window planning over-provisioned ~2x.
+    float64 and step/window planning over-provisioned ~2x.
     """
     if isinstance(model, FastInference):
         conv_widths = model.conv_widths()
@@ -169,7 +169,7 @@ def estimate_batch_memory(model: GamoraNet | FastInference,
 
     The block-diagonal merge concatenates nodes and edges, so the estimate
     is :func:`estimate_inference_memory` at the summed sizes — the quantity
-    the serving layer's shard planner keeps under ``max_shard_bytes``.
+    :func:`repro.learn.data.plan_batch` keeps under ``max_window_bytes``.
     """
     return estimate_inference_memory(
         model,

@@ -1,18 +1,18 @@
-"""Serving layer: sharded, parallel, cached reasoning over trained Gamoras.
+"""Serving layer: budgeted, parallel, cached reasoning over trained Gamoras.
 
-``ReasoningService`` merges many circuits into block-diagonal shards that
-each stay under an explicit inference-memory budget (``max_shard_bytes``,
-planned by :func:`repro.serve.sharding.plan_shards` from the analytic
-memory model), deduplicates structurally identical requests, caches
-encodings and results in structural-hash keyed LRUs, and fans per-circuit
+``ReasoningService`` runs a batch as forward steps under one memory
+budget, ``max_window_bytes`` (planned by :func:`repro.learn.data.plan_batch`
+from the analytic memory model, the same budget training uses): whole
+circuits are packed into block-diagonal one-window steps, and a circuit
+too large for the budget on its own streams level window by level window
+— bit-identical labels, peak activation memory bounded by the budget.
+Every step runs on the one ``FastInference.predict_streamed`` path.  The
+service deduplicates structurally identical requests, caches encodings
+and results in structural-hash keyed LRUs, and fans per-circuit
 post-processing out to worker processes (``postprocess_workers``, via
 :class:`repro.serve.workers.PostprocessPool`) overlapped with the next
-shard's forward pass.  Circuits too large for *any* shard are admitted
-anyway when ``max_window_bytes`` is set: their shards carry a
-:class:`repro.learn.data.WindowPlan` and the forward pass streams level
-window by level window — bit-identical labels, peak activation memory
-bounded by the window budget.  See :mod:`repro.serve.service` for the
-pipeline and caching semantics.
+step's forward pass.  See :mod:`repro.serve.service` for the pipeline and
+caching semantics.
 
 On top of the batch service sits the always-on daemon
 (:mod:`repro.serve.daemon`): ``GamoraDaemon`` keeps the caches warm
@@ -55,7 +55,6 @@ from repro.serve.scheduler import (
     SchedulerClosedError,
 )
 from repro.serve.service import BatchReasoningOutcome, BatchStats, ReasoningService
-from repro.serve.sharding import Shard, ShardPlan, plan_shards
 from repro.serve.workers import PostprocessPool, fork_available, resolve_workers
 
 __all__ = [
@@ -64,9 +63,6 @@ __all__ = [
     "BatchReasoningOutcome",
     "BatchStats",
     "ReasoningService",
-    "Shard",
-    "ShardPlan",
-    "plan_shards",
     "PostprocessPool",
     "fork_available",
     "resolve_workers",

@@ -101,7 +101,6 @@ class GamoraDaemon:
                  cache_dir: str | Path | None = None,
                  run_dir: str | Path | None = None,
                  graph_cache_size: int = 256, result_cache_size: int = 512,
-                 max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None,
                  with_report: bool = True,
@@ -111,7 +110,6 @@ class GamoraDaemon:
         self.service = ReasoningService(
             gamora, graph_cache_size=graph_cache_size,
             result_cache_size=result_cache_size,
-            max_shard_bytes=max_shard_bytes,
             max_window_bytes=max_window_bytes,
             postprocess_workers=postprocess_workers,
         )

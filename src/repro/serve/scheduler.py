@@ -8,7 +8,7 @@ within a small window (measured from the *first* waiting request, so an
 idle daemon answers a lone request after at most one window) into one
 ``reason_many`` call.  That is where the batching machinery pays off
 across users: structurally identical circuits from different clients
-dedup to one forward pass, the shard planner packs the distinct ones
+dedup to one forward pass, the step planner packs the distinct ones
 block-diagonally, and the warm result LRU serves repeats outright.
 
 Admission control is depth-based and fail-fast: once ``max_queue_depth``
@@ -19,7 +19,7 @@ retriable error response, so backpressure reaches clients as a signal,
 not as latency.
 
 Every request gets a :class:`RequestStats` record — queue wait, the
-micro-batch it rode in, its shard assignment, whether it was a cache
+micro-batch it rode in, its forward-step assignment, whether it was a cache
 hit, and the batch's full per-stage :class:`~repro.serve.service.BatchStats`
 — resolved through its :class:`RequestTicket` and, when ``run_dir`` is
 set, written to ``<run_dir>/<request_id>/stats.json``.
@@ -90,7 +90,7 @@ class RequestStats:
     ``batch_size`` counts every request coalesced into the micro-batch;
     ``group_size`` the subset sharing this request's post-processing
     options (one ``reason_many`` call per group).  ``shard_index`` is the
-    block-diagonal shard that ran this circuit's forward pass, ``None``
+    forward step that ran this circuit's forward pass, ``None``
     when the outcome came straight from the warm result cache
     (``result_hit``).  ``batch_stats`` embeds the group's full
     :class:`~repro.serve.service.BatchStats` — per-stage timings included
@@ -105,8 +105,8 @@ class RequestStats:
     num_shards: int
     shard_index: int | None
     result_hit: bool
-    streamed: bool  # forward pass ran level-windowed under a window budget
-    degraded: bool  # full pass OOMed; served by the streamed fallback
+    streamed: bool  # forward step ran split into level windows
+    degraded: bool  # one-window pass OOMed; served by the windowed re-run
     kernel_backend: str  # hot-path kernel backend that served the batch
     queue_wait_seconds: float
     deadline_ms: float | None  # the caller's deadline, if it set one

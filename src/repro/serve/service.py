@@ -1,4 +1,4 @@
-"""Batched reasoning service: sharded forward passes, parallel extraction.
+"""Batched reasoning service: budgeted forward steps, parallel extraction.
 
 :class:`ReasoningService` is the serving layer over a trained
 :class:`~repro.core.api.Gamora`.  A call to :meth:`reason_many` takes N
@@ -11,38 +11,34 @@ independent circuits and
 2. **encodes** the unique circuits to :class:`~repro.learn.data.GraphData`
    through a structural-hash LRU, so re-submitted structures skip feature
    and adjacency construction entirely;
-3. **plans shards** — when ``max_shard_bytes`` is set, the encoded graphs
-   are greedily bin-packed (:func:`repro.serve.sharding.plan_shards`) so
-   every block-diagonal merge stays under the analytic
-   :func:`~repro.learn.infer.estimate_inference_memory` budget; unbounded
-   batches run as one monolithic shard.  With ``max_window_bytes`` also
-   set, a circuit too large for *any* shard is admitted anyway: its
-   oversize shard carries a :class:`~repro.learn.data.WindowPlan` and runs
-   the level-windowed streamed forward pass with peak activation memory
-   bounded by the window budget — labels bit-identical to the full-graph
-   pass;
-4. **streams** each shard through assemble → infer (full-graph or
-   window-by-window), then hands the shard's per-circuit predictions to
-   the post-processing stage;
+3. **plans forward steps** (:func:`repro.learn.data.plan_batch`) under
+   one byte budget, ``max_window_bytes``: whole circuits are packed into
+   one-window steps whose block-diagonal merge stays under the analytic
+   :func:`~repro.learn.infer.estimate_inference_memory` budget, and a
+   circuit too large for the budget on its own becomes a step of its own,
+   sliced into level windows with peak activation memory bounded by the
+   budget.  Without a budget the whole batch is one one-window step;
+4. **runs** every step through the one
+   :meth:`~repro.learn.fast.FastInference.predict_streamed` path — labels
+   bit-identical to the full-graph pass whatever the plan — then hands the
+   step's per-circuit predictions to the post-processing stage.  A
+   one-window step that raises :class:`MemoryError` is re-planned into
+   windows at half its estimate and re-run (``degraded``);
 5. **post-processes in parallel** — with ``postprocess_workers > 0`` the
    per-circuit :func:`~repro.core.postprocess.extract_from_predictions`
    calls run in a fork-based :class:`~repro.serve.workers.PostprocessPool`
-   *while the next shard's forward pass executes* (pipeline overlap);
+   *while the next step's forward pass executes* (pipeline overlap);
    results are reassembled in input order, and any worker failure falls
    back to an in-process retry (counted in ``BatchStats.postprocess_fallbacks``).
 
 Scaling knobs
 -------------
-``max_shard_bytes``
-    Peak estimated bytes one shard's inference may use.  ``None``
-    (default) disables sharding.  Circuits whose standalone estimate
-    exceeds the budget still run, each as its own oversize shard.
 ``max_window_bytes``
-    Peak estimated bytes one *streaming window* may use.  ``None``
-    (default) keeps oversize shards on the unbounded full-graph pass;
-    set, every oversize shard streams level-window by level-window under
-    this budget (``BatchStats.streamed_graphs`` / ``num_windows`` /
-    ``peak_window_bytes`` report what actually ran).
+    Peak estimated bytes one forward step (or one window of a split
+    step) may use.  ``None`` (default) is unbounded: one monolithic pass
+    per batch.  Non-positive values raise :class:`ValueError`.
+    ``BatchStats.num_shards`` / ``streamed_graphs`` / ``num_windows`` /
+    ``peak_window_bytes`` report what actually ran.
 ``postprocess_workers``
     Worker processes for extraction.  ``None`` (default) auto-sizes per
     batch via :func:`repro.serve.workers.resolve_workers` — one worker per
@@ -82,8 +78,8 @@ retrained model reloads its encodings while a different feature mode or
 direction invalidates them.  ``batch-reason --cache-dir`` wires both up
 (results at the directory root, graphs under ``graphs/``).
 
-The invariant that makes all of this safe — sharded/parallel/batched
-predictions are identical to sequential ones — is enforced by
+The invariant that makes all of this safe — packed/streamed/parallel/
+batched predictions are identical to sequential ones — is enforced by
 ``tests/test_serve_batching.py`` and ``tests/test_serve_sharding.py``.
 """
 
@@ -98,11 +94,18 @@ import numpy as np
 
 from repro.aig.graph import AIG
 from repro.core.api import Gamora, ReasoningOutcome, _as_aig
-from repro.learn.data import GraphData, batch_graphs, build_graph_data, unbatch_predictions
+from repro.learn.data import (
+    GraphData,
+    WindowPlan,
+    batch_graphs,
+    build_graph_data,
+    check_window_budget,
+    plan_batch,
+    unbatch_predictions,
+)
 from repro.reasoning.wordlevel import analyze_adder_trees
 from repro.serve import resilience
 from repro.serve.cache import StructuralHashCache, exact_fingerprint
-from repro.serve.sharding import ShardPlan, plan_shards
 from repro.serve.workers import PostprocessPool
 from repro.utils.timing import Timer
 
@@ -115,8 +118,8 @@ _UNSET = object()  # per-call override sentinel (None is a meaningful value)
 class BatchStats:
     """Per-stage accounting for one :meth:`ReasoningService.reason_many`.
 
-    Stage timings accumulate across shards: ``inference_seconds`` is the
-    sum of every shard's forward pass and ``postprocess_seconds`` the sum
+    Stage timings accumulate across forward steps: ``inference_seconds``
+    is the sum of every step's forward pass and ``postprocess_seconds`` the sum
     of per-circuit extraction times (worker-side wall clock in parallel
     mode, so it can exceed the batch's total wall time — it is a CPU-time
     sum, not a span).
@@ -128,20 +131,18 @@ class BatchStats:
     graph_hits: int = 0  # encodings served from the graph LRU
     graph_misses: int = 0  # encodings built this call
     encode_seconds: float = 0.0
-    assemble_seconds: float = 0.0  # block-diagonal merges, summed over shards
-    inference_seconds: float = 0.0  # forward passes, summed over shards
+    assemble_seconds: float = 0.0  # block-diagonal merges, summed over steps
+    inference_seconds: float = 0.0  # forward passes, summed over steps
     postprocess_seconds: float = 0.0  # summed over unique circuits
     report_seconds: float = 0.0  # batched word-level analysis (with_report)
     total_seconds: float = 0.0
-    num_nodes: int = 0  # total nodes inferred, summed over shards
+    num_nodes: int = 0  # total nodes inferred, summed over steps
     num_edges: int = 0
-    num_shards: int = 0  # forward passes this call (0 if fully cached)
-    peak_shard_bytes: int = 0  # largest estimated shard footprint
-    oversize_shards: int = 0  # lone circuits that exceeded the budget
-    streamed_graphs: int = 0  # oversize circuits run window-by-window
-    num_windows: int = 0  # streaming windows executed, summed over shards
-    peak_window_bytes: int = 0  # largest estimated window footprint
-    degraded_shards: int = 0  # full-graph passes that OOMed and re-ran windowed
+    num_shards: int = 0  # forward steps this call (0 if fully cached)
+    streamed_graphs: int = 0  # circuits whose step ran split into windows
+    num_windows: int = 0  # windows executed, summed over steps
+    peak_window_bytes: int = 0  # largest estimated window, over every step
+    degraded_shards: int = 0  # one-window steps that OOMed and re-ran windowed
     postprocess_workers: int = 0  # effective worker processes (0: in-process)
     postprocess_fallbacks: int = 0  # worker failures recovered in-process
     postprocess_restarts: int = 0  # broken executors replaced mid-batch
@@ -149,16 +150,15 @@ class BatchStats:
 
     def summary(self) -> str:
         extra = ""
-        if self.num_shards > 1 or self.peak_shard_bytes:
+        if self.num_shards:
             extra = (
                 f" | shards={self.num_shards} "
-                f"peak={self.peak_shard_bytes / 1024 ** 2:.1f}MiB"
+                f"peak={self.peak_window_bytes / 1024 ** 2:.1f}MiB"
             )
         if self.streamed_graphs:
             extra += (
                 f" streamed={self.streamed_graphs} "
-                f"windows={self.num_windows} "
-                f"peak_window={self.peak_window_bytes / 1024 ** 2:.1f}MiB"
+                f"windows={self.num_windows}"
             )
         if self.postprocess_workers:
             extra += (
@@ -197,8 +197,8 @@ def _circuit_key(aig: AIG) -> tuple[str, str]:
     """The dedup identity of one circuit: structural hash + exact numbering.
 
     Single source of truth for every cache/dedup key the service builds
-    (``reason_many``, ``predict_many``, ``plan``) — change it here and all
-    paths stay in sync.
+    (``reason_many``, ``plan``) — change it here and both paths stay in
+    sync.
     """
     return (aig.structural_hash(), exact_fingerprint(aig))
 
@@ -252,28 +252,26 @@ def _freeze_arrays(value) -> None:
 
 
 class ReasoningService:
-    """Sharded, parallel, block-diagonal batched reasoning over a Gamora.
+    """Budgeted, parallel, block-diagonal batched reasoning over a Gamora.
 
     ``graph_cache_size`` bounds the encoded-:class:`GraphData` LRU and
     ``result_cache_size`` the full-outcome LRU; either can be 0 to disable
-    that cache.  ``max_shard_bytes`` and ``postprocess_workers`` are the
-    scaling knobs described in the module docstring; sharding defaults to
-    the PR 1 behavior (one monolithic pass) and workers default to
-    per-batch auto-sizing (in-process whenever the batch is small).
+    that cache.  ``max_window_bytes`` and ``postprocess_workers`` are the
+    scaling knobs described in the module docstring; the budget defaults
+    to unbounded (one monolithic pass) and workers default to per-batch
+    auto-sizing (in-process whenever the batch is small).
     Everything upstream of :meth:`reason_many` only ever sees circuit
     objects, and everything downstream only sees per-circuit outcomes.
     """
 
     def __init__(self, gamora: Gamora, graph_cache_size: int = 128,
                  result_cache_size: int = 256,
-                 max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None) -> None:
         self.gamora = gamora
         self.graph_cache = StructuralHashCache(graph_cache_size)
         self.result_cache = StructuralHashCache(result_cache_size)
-        self.max_shard_bytes = max_shard_bytes
-        self.max_window_bytes = max_window_bytes
+        self.max_window_bytes = check_window_budget(max_window_bytes)
         self.postprocess_workers = postprocess_workers
         self._model_fp: str | None = None  # lazy model fingerprint
         # Guards the lazy fingerprint init: two daemon threads racing the
@@ -302,46 +300,19 @@ class ReasoningService:
         return self.graph_cache.get_or_build(shash, fingerprint, build)
 
     # ------------------------------------------------------------------
-    def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
-        """Per-node label predictions for each circuit, one forward pass.
-
-        Structurally identical circuits are encoded and inferred once; the
-        returned list still has one entry per input, in input order.
-        """
-        aigs = [_as_aig(c) for c in circuits]
-        if not aigs:
-            return []
-        unique: dict[tuple[str, str], int] = {}
-        slots: list[int] = []
-        datas: list[GraphData] = []
-        for aig in aigs:
-            key = _circuit_key(aig)
-            if key not in unique:
-                unique[key] = len(datas)
-                datas.append(self._encode(aig, *key))
-            slots.append(unique[key])
-        merged = datas[0] if len(datas) == 1 else batch_graphs(datas)
-        predictions = self.gamora.inference_kernel().predict(
-            merged.features, merged.adjacency
-        )
-        per_graph = unbatch_predictions(predictions, [d.num_nodes for d in datas])
-        return [per_graph[slot] for slot in slots]
-
-    # ------------------------------------------------------------------
-    def plan(self, circuits, max_shard_bytes=_UNSET,
-             max_window_bytes=_UNSET) -> ShardPlan:
-        """Shard plan for ``circuits`` without running inference.
+    def plan(self, circuits, max_window_bytes=_UNSET,
+             ) -> list[tuple[list[int], WindowPlan]]:
+        """Forward steps for ``circuits`` without running inference.
 
         Encodes through the graph LRU (so planning a batch warms the same
-        cache serving it would) and packs the unique structures against the
-        byte budgets — the service-wide ``max_shard_bytes`` /
-        ``max_window_bytes`` unless overridden here, so the plan matches
-        what :meth:`reason_many` would execute.  Priced against the
-        deployment kernel (:meth:`Gamora.inference_kernel`), the path that
-        actually runs.  Useful for capacity checks and benchmark reporting.
+        cache serving it would) and plans the unique structures, in
+        first-occurrence order, with :func:`~repro.learn.data.plan_batch`
+        against the service-wide ``max_window_bytes`` unless overridden
+        here, so the plan matches what :meth:`reason_many` would execute.
+        Priced against the deployment kernel
+        (:meth:`Gamora.inference_kernel`), the path that actually runs.
+        Useful for capacity checks and benchmark reporting.
         """
-        if max_shard_bytes is _UNSET:
-            max_shard_bytes = self.max_shard_bytes
         if max_window_bytes is _UNSET:
             max_window_bytes = self.max_window_bytes
         aigs = [_as_aig(c) for c in circuits]
@@ -352,13 +323,12 @@ class ReasoningService:
             if key not in seen:
                 seen.add(key)
                 datas.append(self._encode(aig, *key))
-        return plan_shards(self.gamora.inference_kernel(), datas,
-                           max_shard_bytes, max_window_bytes)
+        return plan_batch(self.gamora.inference_kernel(), datas,
+                          max_window_bytes)
 
     # ------------------------------------------------------------------
     def reason_many(self, circuits, root_filter: bool = False,
                     correct_lsb: bool = True, lsb_outputs: int = 4,
-                    max_shard_bytes=_UNSET,
                     max_window_bytes=_UNSET,
                     postprocess_workers=_UNSET,
                     with_report: bool = False) -> BatchReasoningOutcome:
@@ -367,7 +337,7 @@ class ReasoningService:
         Returns one outcome per input circuit (input order preserved) with
         labels and extractions identical to the sequential path; see the
         module docstring for the pipeline, the scaling knobs, and the
-        caching semantics.  ``max_shard_bytes`` and ``postprocess_workers``
+        caching semantics.  ``max_window_bytes`` and ``postprocess_workers``
         override the service-wide settings for this call only.
 
         ``with_report=True`` additionally fills each outcome's
@@ -380,10 +350,9 @@ class ReasoningService:
         cache entry rather than splitting the options key; an entry cached
         without a report is upgraded in place on the first reporting hit.
         """
-        if max_shard_bytes is _UNSET:
-            max_shard_bytes = self.max_shard_bytes
         if max_window_bytes is _UNSET:
             max_window_bytes = self.max_window_bytes
+        check_window_budget(max_window_bytes)
         if postprocess_workers is _UNSET:
             postprocess_workers = self.postprocess_workers
 
@@ -418,7 +387,7 @@ class ReasoningService:
                 self._reason_pending(
                     aigs, pending, outcomes, options, stats,
                     root_filter=root_filter, correct_lsb=correct_lsb,
-                    lsb_outputs=lsb_outputs, max_shard_bytes=max_shard_bytes,
+                    lsb_outputs=lsb_outputs,
                     max_window_bytes=max_window_bytes,
                     postprocess_workers=postprocess_workers,
                     with_report=with_report,
@@ -459,11 +428,10 @@ class ReasoningService:
 
     def _reason_pending(self, aigs, pending, outcomes, options, stats, *,
                         root_filter: bool, correct_lsb: bool, lsb_outputs: int,
-                        max_shard_bytes: int | None,
-                        max_window_bytes: int | None = None,
+                        max_window_bytes: int | None,
                         postprocess_workers: int | None,
                         with_report: bool = False) -> None:
-        """Encode → plan → stream shards → parallel-extract → reassemble."""
+        """Encode → plan → run steps → parallel-extract → reassemble."""
         graph_hits_before = self.graph_cache.hits
         with Timer() as encode_timer:
             datas = [
@@ -475,19 +443,17 @@ class ReasoningService:
         stats.graph_misses += len(datas) - stats.graph_hits
 
         kernel = self.gamora.inference_kernel()
-        plan = plan_shards(kernel, datas, max_shard_bytes, max_window_bytes)
-        stats.num_shards = len(plan)
-        stats.peak_shard_bytes = plan.peak_shard_bytes
-        stats.oversize_shards = plan.num_oversize
+        steps = plan_batch(kernel, datas, max_window_bytes)
+        stats.num_shards = len(steps)
 
         # Alignment: pending's insertion order == datas' order; handles,
         # labels, and inference shares are indexed the same way so results
-        # reassemble in input order no matter how the packer grouped them.
+        # reassemble in input order no matter how the planner grouped them.
         keys = list(pending)
         handles: list = [None] * len(datas)
         per_labels: list = [None] * len(datas)
         infer_shares: list[float] = [0.0] * len(datas)
-        shard_of: list[int] = [0] * len(datas)  # shard ordinal per circuit
+        step_of: list[int] = [0] * len(datas)  # step ordinal per circuit
         streamed_of: list[bool] = [False] * len(datas)  # ran windowed?
         degraded_of: list[bool] = [False] * len(datas)  # OOM fallback?
 
@@ -499,71 +465,57 @@ class ReasoningService:
         with PostprocessPool(postprocess_workers, num_payloads=len(pending),
                              total_ands=total_ands) as pool:
             stats.postprocess_workers = pool.workers
-            for shard_index, shard in enumerate(plan):
-                shard_datas = [datas[i] for i in shard.indices]
+            for step_index, (indices, plan) in enumerate(steps):
+                step_datas = [datas[i] for i in indices]
                 with Timer() as assemble_timer:
                     merged = (
-                        shard_datas[0] if len(shard_datas) == 1
-                        else batch_graphs(shard_datas)
+                        step_datas[0] if len(step_datas) == 1
+                        else batch_graphs(step_datas)
                     )
                 stats.assemble_seconds += assemble_timer.elapsed
                 stats.num_nodes += merged.num_nodes
                 stats.num_edges += merged.num_edges
 
-                shard_degraded = False
-                window_plan = shard.window_plan
+                degraded = False
                 with Timer() as infer_timer:
-                    try:
-                        resilience.fire("infer.forward")  # chaos: OOM here
-                        if window_plan is not None:
-                            # Oversize circuit admitted as a streaming job:
-                            # window-by-window pass, bit-identical labels,
-                            # peak activation memory bounded by the plan.
+                    while True:
+                        try:
+                            if not degraded:
+                                resilience.fire("infer.forward")  # chaos: OOM
                             merged_labels = kernel.predict_streamed(
-                                merged.features, merged.adjacency,
-                                window_plan,
+                                merged.features, merged.adjacency, plan
                             )
-                        else:
-                            merged_labels = kernel.predict(
-                                merged.features, merged.adjacency
+                            break
+                        except MemoryError:
+                            # A split step is the bottom of the ladder;
+                            # a one-window step re-runs windowed at half its
+                            # estimate, with bit-identical labels.
+                            if degraded or plan.num_windows > 1:
+                                raise
+                            plan = merged.window_plan(
+                                max(plan.peak_window_bytes // 2, 1), kernel
                             )
-                    except MemoryError:
-                        if window_plan is not None:
-                            # Already at the bottom of the degradation
-                            # ladder (full -> streamed -> error): the
-                            # windowed pass itself could not fit.
-                            raise
-                        # Degrade, don't die: re-run the same shard
-                        # level-windowed at half its estimated footprint.
-                        # Labels are bit-identical to the full pass.
-                        window_plan = merged.window_plan(
-                            max(shard.estimated_bytes // 2, 1), kernel
-                        )
-                        merged_labels = kernel.predict_streamed(
-                            merged.features, merged.adjacency, window_plan
-                        )
-                        shard_degraded = True
-                        stats.degraded_shards += 1
+                            degraded = True
                 stats.inference_seconds += infer_timer.elapsed
-                if window_plan is not None:
-                    stats.streamed_graphs += len(shard.indices)
-                    stats.num_windows += window_plan.num_windows
-                    stats.peak_window_bytes = max(
-                        stats.peak_window_bytes,
-                        window_plan.peak_window_bytes,
-                    )
-                shard_labels = unbatch_predictions(
-                    merged_labels, [d.num_nodes for d in shard_datas]
+                streamed = degraded or plan.num_windows > 1
+                stats.degraded_shards += degraded
+                if streamed:
+                    stats.streamed_graphs += len(indices)
+                stats.num_windows += plan.num_windows
+                stats.peak_window_bytes = max(stats.peak_window_bytes,
+                                              plan.peak_window_bytes)
+                step_labels = unbatch_predictions(
+                    merged_labels, [d.num_nodes for d in step_datas]
                 )
-                share = infer_timer.elapsed / len(shard.indices)
-                # Queue this shard's extractions; with workers they run
-                # while the next shard's forward pass executes above.
-                for data_index, labels in zip(shard.indices, shard_labels):
+                share = infer_timer.elapsed / len(indices)
+                # Queue this step's extractions; with workers they run
+                # while the next step's forward pass executes above.
+                for data_index, labels in zip(indices, step_labels):
                     per_labels[data_index] = labels
                     infer_shares[data_index] = share
-                    shard_of[data_index] = shard_index
-                    streamed_of[data_index] = window_plan is not None
-                    degraded_of[data_index] = shard_degraded
+                    step_of[data_index] = step_index
+                    streamed_of[data_index] = streamed
+                    degraded_of[data_index] = degraded
                     handles[data_index] = pool.submit(
                         aigs[pending[keys[data_index]][0]], labels,
                         root_filter, correct_lsb, lsb_outputs,
@@ -622,7 +574,7 @@ class ReasoningService:
                         inference_seconds=infer_shares[data_index],
                         postprocess_seconds=post_seconds,
                         report=outcome_report,
-                        shard_index=shard_of[data_index],
+                        shard_index=step_of[data_index],
                         streamed=streamed_of[data_index],
                         degraded=degraded_of[data_index],
                     )
@@ -899,7 +851,6 @@ class ReasoningService:
         return (
             f"ReasoningService({self.gamora!r}, graph_cache="
             f"{self.graph_cache!r}, result_cache={self.result_cache!r}, "
-            f"max_shard_bytes={self.max_shard_bytes}, "
             f"max_window_bytes={self.max_window_bytes}, "
             f"postprocess_workers={self.postprocess_workers})"
         )

@@ -4,8 +4,8 @@ Post-processing (cut verification + adder-tree extraction) dominates the
 CPU cost of serving — roughly 30:1 over inference on the reproduction's
 workloads — and is embarrassingly parallel across circuits.
 :class:`PostprocessPool` fans :func:`~repro.core.postprocess.extract_from_predictions`
-calls out to ``fork``-ed worker processes so one shard's extraction can run
-while the next shard's forward pass executes in the parent.
+calls out to ``fork``-ed worker processes so one forward step's extractions
+can run while the next step's forward pass executes in the parent.
 
 Design constraints, in order:
 

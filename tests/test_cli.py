@@ -80,7 +80,7 @@ class TestBatchReason:
 
     def test_batch_reason_sharded_with_workers(self, trained_model, tmp_path,
                                                capsys):
-        """The scaling knobs: tiny shard budget + 2 post-processing workers."""
+        """The scaling knobs: tiny step budget + 2 post-processing workers."""
         paths = []
         for width in (4, 5):
             path = tmp_path / f"m{width}.aag"
@@ -89,11 +89,12 @@ class TestBatchReason:
         capsys.readouterr()
         assert main([
             "batch-reason", str(trained_model), *paths,
-            "--max-shard-bytes", "1", "--postprocess-workers", "2",
+            "--max-window-bytes", "1", "--postprocess-workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert out.count("FA") == 2
-        assert "shards=2" in out  # 1-byte budget: every circuit its own shard
+        assert "shards=2" in out  # 1-byte budget: every circuit its own step
+        assert "streamed=2" in out  # ...split into windows
         from repro.serve import fork_available
 
         if fork_available():
@@ -161,6 +162,15 @@ class TestBatchReason:
         assert main(["batch-reason", str(trained_model)]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "batch-reason: no netlists given"
+        # One budget rule with training: a non-positive budget is a clean
+        # one-line error (exit 2) on both serving commands, before any work.
+        for command in (["batch-reason", str(trained_model), "x.aag"],
+                        ["serve", str(trained_model)]):
+            assert main([*command, "--max-window-bytes", "0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command[0]}: max_window_bytes must be "
+                                  "a positive byte count")
+            assert len(err.strip().splitlines()) == 1
 
     def test_batch_reason_unreadable_file_is_clean_error(self, trained_model,
                                                          tmp_path, capsys):

@@ -488,8 +488,7 @@ class TestFaultPointInference:
         # the request fails typed while the daemon survives.
         plan = plan_of({"point": "infer.forward", "kind": "memory",
                         "at": [1]})
-        with GamoraDaemon(gamora, batch_window_ms=1, max_shard_bytes=1,
-                          max_window_bytes=1 << 20,
+        with GamoraDaemon(gamora, batch_window_ms=1, max_window_bytes=1,
                           fault_plan=plan) as daemon:
             client = DaemonClient(daemon)
             response = client.reason(circuits[0], request_id="oom")

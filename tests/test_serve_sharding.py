@@ -2,7 +2,7 @@
 
 The scaling knobs added on top of the batched service must never change
 answers: for any budget (including budgets that split the batch at every
-boundary or mark circuits oversize) and any worker count (including worker
+boundary or stream circuits over it in windows) and any worker count (including worker
 crashes), ``reason_many`` must return labels and extractions identical to
 sequential ``Gamora.reason``.  The planner itself is checked as a pure
 function: budget respected, exact partition, deterministic.
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core import Gamora
 from repro.generators import booth_multiplier, csa_multiplier, squarer
-from repro.learn import TrainConfig, estimate_batch_memory
-from repro.serve import PostprocessPool, ReasoningService, plan_shards
+from repro.learn import TrainConfig, estimate_batch_memory, plan_batch
+from repro.serve import PostprocessPool, ReasoningService
 from repro.serve.workers import (
     AUTO_MIN_TOTAL_ANDS,
     FAULT_ENV,
@@ -78,88 +78,118 @@ def assert_outcome_equal(batched, sequential):
 
 
 class TestShardPlanner:
+    """``plan_batch``: the one planner behind every forward step."""
+
     def test_no_budget_is_single_shard(self, gamora, zoo_graphs):
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=None)
-        assert len(plan) == 1
-        assert sorted(plan.shards[0].indices) == list(range(len(zoo_graphs)))
-        assert plan.shards[0].num_nodes == sum(g.num_nodes for g in zoo_graphs)
-        assert not plan.shards[0].oversize
-        assert plan_shards(gamora.net, zoo_graphs, max_shard_bytes=0).max_shard_bytes is None
+        steps = plan_batch(gamora.net, zoo_graphs, None)
+        assert len(steps) == 1
+        indices, plan = steps[0]
+        assert indices == list(range(len(zoo_graphs)))
+        assert plan.num_windows == 1
+        assert plan.num_nodes == sum(g.num_nodes for g in zoo_graphs)
+        assert plan.peak_window_bytes == estimate_batch_memory(gamora.net,
+                                                               zoo_graphs)
+        # One rule with training: None is unbounded, <= 0 raises.
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                plan_batch(gamora.net, zoo_graphs, budget)
+            with pytest.raises(ValueError, match="positive"):
+                ReasoningService(gamora, max_window_bytes=budget)
+            with pytest.raises(ValueError, match="positive"):
+                ReasoningService(gamora).reason_many([ZOO[0]()],
+                                                     max_window_bytes=budget)
 
     def test_empty_input(self, gamora):
-        assert len(plan_shards(gamora.net, [], max_shard_bytes=1024)) == 0
+        assert plan_batch(gamora.net, [], 1024) == []
 
     def test_budget_respected_and_partition_exact(self, gamora, zoo_graphs):
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         budget = max(standalone) + min(standalone) // 2
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        assert len(plan) > 1  # the budget genuinely splits this batch
-        covered = sorted(i for shard in plan for i in shard.indices)
+        steps = plan_batch(gamora.net, zoo_graphs, budget)
+        assert len(steps) > 1  # the budget genuinely splits this batch
+        covered = sorted(i for indices, _ in steps for i in indices)
         assert covered == list(range(len(zoo_graphs)))  # exact partition
-        for shard in plan:
-            assert not shard.oversize
-            assert shard.estimated_bytes <= budget
-            assert shard.estimated_bytes == estimate_batch_memory(
-                gamora.net, [zoo_graphs[i] for i in shard.indices]
+        for indices, plan in steps:
+            assert plan.num_windows == 1  # packed, not split
+            assert plan.num_nodes == sum(zoo_graphs[i].num_nodes
+                                         for i in indices)
+            assert plan.peak_window_bytes <= budget
+            assert plan.peak_window_bytes == estimate_batch_memory(
+                gamora.net, [zoo_graphs[i] for i in indices]
             )
-        assert plan.peak_shard_bytes <= budget
 
     def test_oversize_singletons_get_own_shard(self, gamora, zoo_graphs):
+        """Every graph over the budget: one windowed step each, within it."""
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
-        plan = plan_shards(gamora.net, zoo_graphs,
-                           max_shard_bytes=min(standalone) - 1)
-        assert len(plan) == len(zoo_graphs)
-        assert all(shard.oversize and len(shard) == 1 for shard in plan)
-        assert plan.num_oversize == len(zoo_graphs)
-        assert "oversize" in plan.summary()
+        budget = min(standalone) - 1
+        steps = plan_batch(gamora.net, zoo_graphs, budget)
+        assert [indices for indices, _ in steps] == [
+            [i] for i in range(len(zoo_graphs))
+        ]
+        for (index,), plan in steps:
+            assert plan.num_windows > 1
+            assert plan.num_nodes == zoo_graphs[index].num_nodes
+            assert plan.peak_window_bytes <= budget
 
     def test_mixed_oversize_and_packed(self, gamora, zoo_graphs):
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         # Budget admits everything but the largest graph.
         budget = sorted(standalone)[-2] + 1
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        oversized = [shard for shard in plan if shard.oversize]
-        assert len(oversized) == 1
-        assert standalone[oversized[0].indices[0]] == max(standalone)
-        for shard in plan:
-            if not shard.oversize:
-                assert shard.estimated_bytes <= budget
+        steps = plan_batch(gamora.net, zoo_graphs, budget)
+        split = [(indices, plan) for indices, plan in steps
+                 if plan.num_windows > 1]
+        assert len(split) == 1
+        assert standalone[split[0][0][0]] == max(standalone)
+        assert split[0][1].peak_window_bytes <= budget
+        for _, plan in steps:
+            assert plan.peak_window_bytes <= budget
 
     def test_service_plan_uses_configured_budget(self, gamora, zoo_graphs):
         """plan() must predict what reason_many actually executes."""
-        standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
+        kernel = gamora.inference_kernel()
+        standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         budget = max(standalone) + 1
-        service = ReasoningService(gamora, max_shard_bytes=budget)
-        plan = service.plan([spec() for spec in ZOO])  # no override: use budget
-        assert plan.max_shard_bytes == budget
-        assert len(plan) > 1
+        service = ReasoningService(gamora, max_window_bytes=budget)
+        steps = service.plan([spec() for spec in ZOO])  # no override: budget
+        assert len(steps) > 1
+        assert max(plan.peak_window_bytes for _, plan in steps) <= budget
+        batch = service.reason_many([spec() for spec in ZOO])
+        assert batch.stats.num_shards == len(steps)
         unbounded = service.plan([spec() for spec in ZOO], None)  # explicit
         assert len(unbounded) == 1
 
     def test_deterministic(self, gamora, zoo_graphs):
+        standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         budget = estimate_batch_memory(gamora.net, zoo_graphs) // 2
-        first = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        second = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        assert [s.indices for s in first] == [s.indices for s in second]
-        # Streaming order follows input order through the first member.
-        firsts = [s.indices[0] for s in first]
+        # One graph over the budget, so the plan mixes packed and split steps.
+        budget = min(budget, max(standalone) - 1)
+        first = plan_batch(gamora.net, zoo_graphs, budget)
+        second = plan_batch(gamora.net, zoo_graphs, budget)
+        assert [indices for indices, _ in first] == \
+            [indices for indices, _ in second]
+        for (_, one), (_, two) in zip(first, second):
+            assert [w.targets.tolist() for w in one.windows] == \
+                [w.targets.tolist() for w in two.windows]
+        # Execution order follows input order through the first member.
+        firsts = [indices[0] for indices, _ in first]
         assert firsts == sorted(firsts)
 
 
 class TestShardedEquivalence:
     def test_single_graph_shards_match_sequential(self, gamora, zoo_graphs,
                                                   sequential_memo):
-        """Budget below every standalone estimate: one circuit per shard."""
+        """Budget below every standalone estimate: one circuit per step,
+        each streamed in windows."""
         # Budgets for the service come from the deployment kernel's pricing
         # (float32) — the estimator the service itself plans with.
         kernel = gamora.inference_kernel()
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=min(standalone) - 1)
+                                   max_window_bytes=min(standalone) - 1)
         spec_ids = list(range(len(ZOO)))
         batch = service.reason_many([ZOO[i]() for i in spec_ids])
         assert batch.stats.num_shards == len(ZOO)
-        assert batch.stats.oversize_shards == len(ZOO)
+        assert batch.stats.streamed_graphs == len(ZOO)  # each split in windows
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
 
@@ -170,11 +200,11 @@ class TestShardedEquivalence:
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         budget = max(standalone) + min(standalone) // 2
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=budget)
+                                   max_window_bytes=budget)
         spec_ids = [0, 1, 2, 3, 4, 1, 0]  # includes within-batch duplicates
         batch = service.reason_many([ZOO[i]() for i in spec_ids])
         assert 1 < batch.stats.num_shards < len(ZOO)
-        assert batch.stats.peak_shard_bytes <= budget
+        assert batch.stats.peak_window_bytes <= budget
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
 
@@ -182,7 +212,7 @@ class TestShardedEquivalence:
         kernel = gamora.inference_kernel()
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=max(standalone) + 1)
+                                   max_window_bytes=max(standalone) + 1)
         batch = service.reason_many([spec() for spec in ZOO])
         stats = batch.stats
         assert stats.num_shards > 1
@@ -197,7 +227,7 @@ class TestShardedEquivalence:
                                                      sequential_memo):
         gamora._service = None  # fresh caches for a cold call
         batch = gamora.reason_many(
-            [ZOO[0](), ZOO[1]()], max_shard_bytes=1, postprocess_workers=0
+            [ZOO[0](), ZOO[1]()], max_window_bytes=1, postprocess_workers=0
         )
         assert batch.stats.num_shards == 2
         assert_outcome_equal(batch[0], sequential_memo(0))
@@ -214,7 +244,7 @@ class TestShardedEquivalence:
         total = estimate_batch_memory(gamora.inference_kernel(), zoo_graphs)
         budget = None if budget_div == 0 else max(total // budget_div, 1)
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=budget)
+                                   max_window_bytes=budget)
         batch = service.reason_many([ZOO[i]() for i in spec_ids])
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
@@ -238,7 +268,7 @@ class TestParallelPostprocess:
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(
             gamora, result_cache_size=0,
-            max_shard_bytes=max(standalone) + 1, postprocess_workers=2,
+            max_window_bytes=max(standalone) + 1, postprocess_workers=2,
         )
         spec_ids = [0, 1, 2, 3, 4]
         batch = service.reason_many([ZOO[i]() for i in spec_ids])

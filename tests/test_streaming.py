@@ -9,6 +9,8 @@ cost model and the array-native transitive-fanin satellite.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.learn import (
     TrainConfig,
     build_graph_data,
     compile_inference,
+    deep_config,
     estimate_inference_memory,
     estimate_window_memory,
     halo_blocks,
@@ -30,6 +33,7 @@ from repro.learn import (
     sub_adjacency,
     train_model,
 )
+from repro.learn.data import WindowPlan
 from repro.learn.model import GamoraNet, ModelConfig
 from repro.utils.random_circuits import random_aig
 
@@ -209,6 +213,49 @@ class TestWindowPlan:
         assert "window" in text and "MiB" in text
 
 
+def measured_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestMeasuredPeak:
+    """The analytic estimates bound the memory the executor really uses."""
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(shallow_config, id="shallow"),
+        pytest.param(deep_config, id="deep"),
+    ])
+    @pytest.mark.parametrize("circuit", [
+        pytest.param(csa_multiplier, id="csa32"),
+        pytest.param(booth_multiplier, id="booth32"),
+    ])
+    def test_measured_peak_within_estimate(self, config, circuit):
+        kernel = compile_inference(GamoraNet(config()))
+        data = build_graph_data(circuit(32).aig, with_labels=False)
+        full = full_budget(kernel, data)
+        peak = measured_peak(
+            lambda: kernel.logits(data.features, data.adjacency))
+        assert peak <= full, f"full pass: measured {peak} > estimate {full}"
+        plan = data.window_plan(full // 8, kernel)
+        assert plan.num_windows > 1
+        for index, window in enumerate(plan.windows):
+            alone = WindowPlan(plan.num_nodes, plan.num_hops,
+                               plan.max_window_bytes, [window])
+            peak = measured_peak(lambda: list(kernel._window_logits(
+                data.features, data.adjacency, alone)))
+            assert peak <= window.estimated_bytes, (
+                f"window {index}: measured {peak} > estimate "
+                f"{window.estimated_bytes}"
+            )
+
+
 class TestHaloBlocks:
     def test_blocks_are_nested_and_sorted(self, kernel):
         data = build_graph_data(csa_multiplier(6).aig, with_labels=False)
@@ -335,9 +382,7 @@ class TestServingIntegration:
         sequential = gamora.reason(big)
         data = gamora.prepare(big, with_labels=False)
         full = full_budget(gamora.inference_kernel(), data)
-        result = gamora.reason_many(
-            [big], max_shard_bytes=full // 2, max_window_bytes=full // 8
-        )
+        result = gamora.reason_many([big], max_window_bytes=full // 8)
         assert result.stats.streamed_graphs == 1
         assert result.stats.num_windows > 1
         assert 0 < result.stats.peak_window_bytes <= full // 8
@@ -349,6 +394,7 @@ class TestServingIntegration:
         assert "streamed=1" in result.stats.summary()
 
     def test_window_budget_only_affects_oversize(self, trained):
+        """A graph under the budget runs as one unstreamed window."""
         from repro.core.api import Gamora
 
         gamora = Gamora(model="shallow")
@@ -356,6 +402,16 @@ class TestServingIntegration:
         gamora._service = None
         gamora._kernel = None
         small = csa_multiplier(4)
-        result = gamora.reason_many([small], max_window_bytes=1)
+        sequential = gamora.reason(small)
+        data = gamora.prepare(small, with_labels=False)
+        full = full_budget(gamora.inference_kernel(), data)
+        result = gamora.reason_many([small], max_window_bytes=full)
+        assert result.stats.num_shards == 1
+        assert result.stats.num_windows == 1
         assert result.stats.streamed_graphs == 0
+        assert result.stats.peak_window_bytes == full
         assert not result[0].streamed
+        for task in sequential.labels:
+            np.testing.assert_array_equal(
+                result[0].labels[task], sequential.labels[task]
+            )
