@@ -1,4 +1,4 @@
-"""Kernel backends head-to-head: numpy reference vs the numba JIT lane.
+"""Kernel backends head-to-head: numpy reference vs the c and numba lanes.
 
 Micro-benchmarks each of the four registered hot-path kernels
 (:mod:`repro.kernels`) in isolation on the 64-bit CSA multiplier — the
@@ -7,12 +7,15 @@ the Kahn longest-path wavefront — with the *same* prebuilt inputs for
 every backend, so the comparison times nothing but the kernel.
 
 The numpy baseline always runs and appends a record to
-``BENCH_kernels.json``.  With numba installed the differential lane also
-runs: every kernel's output must be **bit-identical** to the numpy
-reference (asserted here, not just in the unit suite), at least two of
-the four kernels must clear a 3x speedup, and the CI smoke guard pins
->= 2x on the cone sweep alone.  JIT compilation happens before timing
-(one untimed warmup call per kernel), exactly like the serving daemon's
+``BENCH_kernels.json``.  Wherever the C kernels build, the c lane runs:
+``merge_level`` and ``kahn_propagate`` (the two kernels it implements)
+must be **bit-identical** to the numpy reference and clear 5x and 3x.
+With numba installed its differential lane also runs: every kernel's
+output must be bit-identical (asserted here, not just in the unit
+suite), at least two of the four kernels must clear a 3x speedup, and
+the CI smoke guard pins >= 2x on the cone sweep alone.  Compilation
+happens before timing (the c library when the backend loads, the JIT on
+one untimed warmup call per kernel), exactly like the serving daemon's
 boot-time warmup.
 """
 
@@ -45,9 +48,14 @@ K, MAX_CUTS = 3, 10
 REPEATS = 3
 MIN_SPEEDUP = 3.0  # full-lane bar, on at least two kernels
 SMOKE_MIN_SPEEDUP = 2.0  # CI smoke bar, on the cone sweep
+# c lane bars, per kernel it implements (29x and 7x measured on 2 CPUs).
+C_MIN_SPEEDUP = {"merge_level": 5.0, "kahn_propagate": 3.0}
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed"
+)
+needs_c = pytest.mark.skipif(
+    not registry._load_backend("c"), reason="the C kernels do not build here"
 )
 
 
@@ -172,12 +180,13 @@ def measure(kernel: str, backend: str, inp) -> tuple[tuple, float]:
     return result, best
 
 
-def assert_identical(kernel: str, ref: tuple, got: tuple) -> None:
+def assert_identical(kernel: str, ref: tuple, got: tuple,
+                     backend: str) -> None:
     assert len(ref) == len(got), kernel
     for index, (want, have) in enumerate(zip(ref, got)):
         np.testing.assert_array_equal(
             want, have,
-            err_msg=f"{kernel}: numba output {index} diverged from numpy",
+            err_msg=f"{kernel}: {backend} output {index} diverged from numpy",
         )
 
 
@@ -206,28 +215,44 @@ def test_kernels_numpy_baseline(benchmark, inputs, numpy_times):
     })
 
 
+def compare_backend(backend: str, kernels, inputs, numpy_times) -> dict:
+    """Assert ``backend`` bit-identical to numpy per kernel; speedups."""
+    rows, speedups = [], {}
+    for kernel in kernels:
+        ref, ref_seconds = numpy_times[kernel]
+        got, seconds = measure(kernel, backend, inputs)
+        assert_identical(kernel, ref, got, backend)
+        speedups[kernel] = ref_seconds / max(seconds, 1e-9)
+        rows.append([kernel, f"{ref_seconds * 1e3:.2f}",
+                     f"{seconds * 1e3:.2f}", f"{speedups[kernel]:.1f}x"])
+    emit(f"kernels_backends_{backend}", format_table(
+        f"Kernel backends, {WIDTH}-bit CSA (best of {REPEATS})",
+        ["kernel", "numpy ms", f"{backend} ms", "speedup"], rows,
+    ))
+    emit_json("BENCH_kernels", {
+        "width": WIDTH,
+        "backend": backend,
+        "speedups": speedups,
+    })
+    return speedups
+
+
+@needs_c
+def test_kernels_c_speedup(benchmark, inputs, numpy_times):
+    """c lane: bit-identical outputs, merge_level >= 5x, kahn >= 3x."""
+    keep_under_benchmark_only(benchmark)
+    speedups = compare_backend("c", C_MIN_SPEEDUP, inputs, numpy_times)
+    slow = {kernel: speedup for kernel, speedup in speedups.items()
+            if speedup < C_MIN_SPEEDUP[kernel]}
+    assert not slow, f"below the c bars {C_MIN_SPEEDUP}: {slow}"
+
+
 @needs_numba
 def test_kernels_numba_speedup(benchmark, inputs, numpy_times):
     """Full numba lane: bit-identical outputs, >= 3x on >= 2 kernels."""
     keep_under_benchmark_only(benchmark)
-    rows, speedups = [], {}
-    for kernel in registry.KERNEL_NAMES:
-        ref, ref_seconds = numpy_times[kernel]
-        got, jit_seconds = measure(kernel, "numba", inputs)
-        assert_identical(kernel, ref, got)
-        speedups[kernel] = ref_seconds / max(jit_seconds, 1e-9)
-        rows.append([kernel, f"{ref_seconds * 1e3:.2f}",
-                     f"{jit_seconds * 1e3:.2f}",
-                     f"{speedups[kernel]:.1f}x"])
-    emit("kernels_backends", format_table(
-        f"Kernel backends, {WIDTH}-bit CSA (best of {REPEATS})",
-        ["kernel", "numpy ms", "numba ms", "speedup"], rows,
-    ))
-    emit_json("BENCH_kernels", {
-        "width": WIDTH,
-        "backend": "numba",
-        "speedups": speedups,
-    })
+    speedups = compare_backend("numba", registry.KERNEL_NAMES, inputs,
+                               numpy_times)
     cleared = sum(s >= MIN_SPEEDUP for s in speedups.values())
     assert cleared >= 2, (
         f"expected >= {MIN_SPEEDUP}x on at least two kernels, got {speedups}"
@@ -240,7 +265,7 @@ def test_kernels_smoke(benchmark, inputs):
     keep_under_benchmark_only(benchmark)
     ref, ref_seconds = measure("cone_sweep", "numpy", inputs)
     got, jit_seconds = measure("cone_sweep", "numba", inputs)
-    assert_identical("cone_sweep", ref, got)
+    assert_identical("cone_sweep", ref, got, "numba")
     speedup = ref_seconds / max(jit_seconds, 1e-9)
     emit_json("BENCH_kernels", {
         "smoke": True,

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.aig import read_aiger, write_aag, write_aig
 from repro.generators import make_multiplier
+from repro.kernels import BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -50,10 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="exact adder-tree extraction")
     extract.add_argument("netlist")
     extract.add_argument("--max-cuts", type=int, default=10)
-    extract.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                         default=None,
-                         help="hot-path kernel backend (default: REPRO_KERNEL "
-                              "env var, else auto = numba when installed)")
+    _add_kernel_flag(extract)
 
     train = sub.add_parser("train", help="train a Gamora model")
     train.add_argument("model_out", help="output .npz path")
@@ -109,12 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "after, so restarts keep their hit rate")
     batch.add_argument("--compare-sequential", action="store_true",
                        help="also run per-netlist reason() and report speedup")
-    batch.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                       default=None,
-                       help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba when installed); "
-                            "backends are bit-identical, so results are "
-                            "cached regardless of the choice")
+    _add_kernel_flag(batch, "; backends are bit-identical, so results "
+                            "are cached regardless of the choice")
 
     serve = sub.add_parser(
         "serve",
@@ -155,12 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-report", action="store_true",
                        help="skip the batched word-level report (responses "
                             "carry report: null)")
-    serve.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                       default=None,
-                       help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba when installed); the "
-                            "daemon JIT-warms the backend before the socket "
-                            "accepts")
+    _add_kernel_flag(serve, "; the daemon builds and warms the backend "
+                            "before the socket accepts")
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline applied to requests that do not carry "
                             "their own deadline_ms: a request still queued "
@@ -216,6 +206,16 @@ def _cmd_stats(args) -> int:
     for key, value in aig.stats().items():
         print(f"{key:>8}: {value}")
     return 0
+
+
+def _add_kernel_flag(parser: argparse.ArgumentParser, note: str = "") -> None:
+    """The ``--kernel`` flag of the commands that run the hot kernels."""
+    parser.add_argument(
+        "--kernel", choices=BACKEND_CHOICES, default=None,
+        help="hot-path kernel backend (default: REPRO_KERNEL env var, else "
+             "auto = c when a C compiler builds it, else numba when "
+             "installed, else numpy)" + note,
+    )
 
 
 def _select_kernel(args) -> None:

@@ -3,9 +3,11 @@
 ``repro.kernels`` dispatches the four post-GNN array kernels — the
 per-level cut merge, the cone frontier sweep, the packed-key FA join and
 the Kahn longest-path wavefront — to a selected backend: the pure-NumPy
-reference (always present, the default) or the optional Numba
-``@njit(cache=True)`` backend.  See :mod:`repro.kernels.registry` for
-selection semantics (``REPRO_KERNEL``, ``set_backend``) and
+reference (always present), the C backend (the two hot kernels, built
+with the system compiler and cached on disk; :mod:`repro.kernels.c_backend`)
+or the optional Numba ``@njit(cache=True)`` backend.  ``auto`` picks c,
+else numba, else numpy.  See :mod:`repro.kernels.registry` for selection
+semantics (``REPRO_KERNEL``, ``set_backend``) and
 :mod:`repro.kernels.numpy_backend` for the pinned kernel signatures.
 
 This package import stays light: backend modules load lazily on first
@@ -14,6 +16,7 @@ threshold constant from here) costs nothing extra.
 """
 
 from repro.kernels.registry import (
+    BACKEND_CHOICES,
     BACKEND_ENV,
     KERNEL_NAMES,
     LEVELS_SCALAR_CUTOFF,
@@ -31,6 +34,7 @@ from repro.kernels.registry import (
 )
 
 __all__ = [
+    "BACKEND_CHOICES",
     "BACKEND_ENV",
     "KERNEL_NAMES",
     "LEVELS_SCALAR_CUTOFF",

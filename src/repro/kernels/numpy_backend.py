@@ -181,7 +181,8 @@ def _merge_chunk(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
         lut = np.unique(
             np.concatenate([l0.reshape(m, -1), l1.reshape(m, -1)], axis=1)
         )
-        if lut[-1] != pad:
+        # Empty when no fan-in has a cut (possible without trivial cuts).
+        if not len(lut) or lut[-1] != pad:
             lut = np.append(lut, np.int32(pad))
         l0 = np.searchsorted(lut, l0).astype(np.int32)
         l1 = np.searchsorted(lut, l1).astype(np.int32)

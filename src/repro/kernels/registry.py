@@ -5,20 +5,25 @@ ROADMAP's kernel targets): the per-level cut merge, the cone frontier
 sweep, the packed-key FA join, and the Kahn longest-path wavefront.  Each
 is a *registered kernel*: a name plus a pinned signature, with one
 implementation per *backend*.  The pure-NumPy backend is always present
-and stays the default; a Numba ``@njit(cache=True)`` backend is
-import-gated (``numba`` is optional) and must be bit-identical — the
-differential suite in ``tests/test_kernels.py`` pins that, which is also
-what makes backend choice invisible to the result cache.
+and is the reference.  Two compiled backends must be bit-identical to it
+— the differential suite in ``tests/test_kernels.py`` pins that, which is
+also what makes backend choice invisible to the result cache:
+
+* ``c`` (:mod:`repro.kernels.c_backend`): ``merge_level`` and
+  ``kahn_propagate`` in C, built with the system compiler on first use
+  and cached on disk;
+* ``numba``: all four kernels under ``@njit(cache=True)``, import-gated
+  (``numba`` is optional).
 
 Selection is process-global, not per-call: the ``REPRO_KERNEL`` env var
-(``auto`` | ``numpy`` | ``numba``) picks the default, :func:`set_backend`
-overrides it (the CLI's ``--kernel`` flag lands here).  ``auto`` means
-"numba when importable, else numpy"; an *explicit* ``numba`` request
-without numba installed warns and falls back to numpy — never an
-ImportError on a serving path.  Backends may implement any subset of the
-kernels; missing ones transparently fall back to numpy, which is also how
-test-only backends hook in (:func:`register` accepts arbitrary backend
-names).
+(``auto`` | ``numpy`` | ``c`` | ``numba``) picks the default,
+:func:`set_backend` overrides it (the CLI's ``--kernel`` flag lands here).
+``auto`` means "c when it builds, else numba when importable, else numpy";
+an *explicit* compiled-backend request that cannot be served warns and
+falls back to numpy — never an ImportError or a build error on a serving
+path.  Backends may implement any subset of the kernels; missing ones
+transparently fall back to numpy, which is also how test-only backends
+hook in (:func:`register` accepts arbitrary backend names).
 
 Every dispatch is counted per ``(kernel, backend)`` so the serving daemon
 can surface what actually ran (``stats``/``stats.json``).
@@ -33,6 +38,7 @@ import warnings
 from typing import Callable
 
 __all__ = [
+    "BACKEND_CHOICES",
     "BACKEND_ENV",
     "KERNEL_NAMES",
     "LEVELS_SCALAR_CUTOFF",
@@ -64,8 +70,14 @@ KERNEL_NAMES = ("merge_level", "cone_sweep", "fa_join", "kahn_propagate")
 # far above the cutoff; shrink it only with numbers from that benchmark).
 LEVELS_SCALAR_CUTOFF = 4096
 
+# The compiled backends, and every value ``REPRO_KERNEL`` and the CLI's
+# ``--kernel`` accept.
+COMPILED_BACKENDS = ("c", "numba")
+BACKEND_CHOICES = ("auto", "numpy", *COMPILED_BACKENDS)
+
 _impls: dict[tuple[str, str], Callable] = {}
 _loaded_backends: set[str] = set()
+_load_errors: dict[str, str] = {}  # why a compiled backend did not load
 _requested: str | None = None  # explicit set_backend choice (beats the env)
 _active: str | None = None  # cached resolution; invalidated by set_backend
 _counts: dict[tuple[str, str], int] = {}
@@ -106,7 +118,16 @@ def _load_backend(backend: str) -> bool:
         elif backend == "numba":
             try:
                 from repro.kernels import numba_backend  # noqa: F401
-            except ImportError:
+            except ImportError as exc:
+                _load_errors[backend] = str(exc)
+                return False
+        elif backend == "c":
+            from repro.kernels import c_backend
+
+            try:
+                c_backend.load()
+            except OSError as exc:
+                _load_errors[backend] = str(exc)
                 return False
         elif not any(key[1] == backend for key in _impls):
             # Custom backends (tests, experiments) register their kernels
@@ -127,23 +148,27 @@ def requested_backend() -> str:
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested backend name to the one that will serve.
 
-    ``auto`` prefers numba when importable; an explicit ``numba`` request
-    without numba warns and degrades to numpy (a serving process must come
-    up regardless); anything else must be a registered backend name.
+    ``auto`` prefers ``c`` (when a compiler builds it), then numba (when
+    importable); an explicit ``c`` or ``numba`` request that cannot be
+    served warns and degrades to numpy (a serving process must come up
+    regardless); anything else must be a registered backend name.
     """
     name = (name or requested_backend()).strip().lower()
     if name == "auto":
+        if _load_backend("c"):
+            return "c"
         if numba_available() and _load_backend("numba"):
             return "numba"
         return "numpy"
     if name == "numpy":
         _load_backend("numpy")
         return "numpy"
-    if name == "numba":
-        if _load_backend("numba"):
-            return "numba"
+    if name in COMPILED_BACKENDS:
+        if _load_backend(name):
+            return name
         warnings.warn(
-            "kernel backend 'numba' requested but numba is not importable; "
+            f"kernel backend {name!r} requested but unavailable "
+            f"({_load_errors.get(name, 'not loadable')}); "
             "falling back to the numpy backend",
             RuntimeWarning,
             stacklevel=2,
@@ -152,8 +177,8 @@ def resolve_backend(name: str | None = None) -> str:
     if _load_backend(name):
         return name
     raise ValueError(
-        f"unknown kernel backend {name!r}; expected 'auto', 'numpy', "
-        "'numba', or a registered custom backend"
+        f"unknown kernel backend {name!r}; expected one of {BACKEND_CHOICES} "
+        "or a registered custom backend"
     )
 
 
@@ -237,7 +262,8 @@ def warmup(backend: str | None = None) -> dict:
     Runs the real pipeline — cut sweep, FA join, cone consumption,
     word-level ranks — over a small CSA multiplier so every registered
     kernel executes at least once (under numba that is what triggers, and
-    with ``cache=True`` persists, JIT compilation).  Small graphs take the
+    with ``cache=True`` persists, JIT compilation; the ``c`` library is
+    built or loaded when the backend resolves).  Small graphs take the
     scalar ``levels()`` fallback, so the Kahn kernel is additionally
     driven directly on a hand-built CSR.  Dispatch counters are reset
     afterwards: serving stats start at zero, compile cost is paid before

@@ -150,8 +150,8 @@ class GamoraDaemon:
 
         The kernel warmup runs the selected backend over a tiny synthetic
         AIG *before* the scheduler spins up (and hence before any socket
-        accepts): under numba that is where JIT compilation happens, so the
-        first real request never pays it.
+        accepts): that is where the c library is built or loaded and where
+        numba JIT-compiles, so the first real request never pays either.
 
         A cache directory that turns out corrupt or unreadable is
         *quarantined* — renamed aside, recorded in ``quarantined``, a

@@ -210,7 +210,7 @@ def _normalize_options(root_filter: bool, correct_lsb: bool,
     ``lsb_outputs`` only matters when LSB correction is on; collapsing it
     to 0 otherwise lets semantically identical calls share a cache entry.
 
-    The kernel *backend* (:mod:`repro.kernels` — numpy vs numba) must
+    The kernel *backend* (:mod:`repro.kernels` — numpy, c or numba) must
     NEVER enter this key: backends are differentially tested bit-identical,
     so a result computed under one backend is the result under any other,
     and runs under different backends share cache entries

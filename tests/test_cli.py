@@ -36,9 +36,19 @@ class TestGenStats:
 
 class TestExtract:
     def test_extract_reports_adders(self, mult_file, capsys):
-        assert main(["extract", str(mult_file)]) == 0
-        out = capsys.readouterr().out
-        assert "FA" in out and "HA" in out
+        from repro.kernels import set_backend
+
+        reports = []
+        try:
+            for kernel in ([], ["--kernel", "numpy"], ["--kernel", "c"]):
+                assert main(["extract", str(mult_file), *kernel]) == 0
+                out = capsys.readouterr().out
+                assert "FA" in out and "HA" in out
+                # Everything but the timing line is backend-independent.
+                reports.append(out.rsplit("extraction took", 1)[0])
+        finally:
+            set_backend(None)
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestTrainReason:
@@ -241,3 +251,15 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["synthesize"])
+
+    def test_kernel_flag_choices(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for argv in (["extract", "n.aag"], ["batch-reason", "m", "n.aag"],
+                     ["serve", "m"]):
+            for kernel in ("auto", "numpy", "c", "numba"):
+                args = parser.parse_args([*argv, "--kernel", kernel])
+                assert args.kernel == kernel
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, "--kernel", "fortran"])

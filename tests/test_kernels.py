@@ -1,29 +1,41 @@
-"""Kernel backend registry semantics and numpy/numba bit-identity.
+"""Kernel backend registry semantics and numpy/compiled bit-identity.
 
 Two invariant families:
 
 * **Registry semantics** — selection precedence (``set_backend`` beats
   ``REPRO_KERNEL`` beats ``auto``), graceful degradation (an explicit
-  ``numba`` request without numba warns and serves numpy — never an
-  ImportError on a serving path), custom test backends with per-kernel
-  numpy fallback, dispatch counting, and the one shared scalar-levels
-  cutoff constant.  These run everywhere.
-* **Differential bit-identity** — with numba installed, every kernel must
-  produce *exactly* the numpy reference's output (same arrays, same
-  dtypes-relevant values, same ordering) over the adder-tree circuit
-  families and the degenerate graphs.  Bit-identity is what lets the
-  result cache ignore the backend entirely, which the cache-sharing
-  regression test at the bottom pins structurally.
+  ``numba`` or ``c`` request that cannot be served warns and serves numpy
+  — never an ImportError or a build error on a serving path), the C
+  library's build cache (ownership and permission checks, concurrent
+  builders), custom test backends with per-kernel numpy fallback,
+  dispatch counting, and the one shared scalar-levels cutoff constant.
+  These run everywhere.
+* **Differential bit-identity** — for each compiled backend that loads
+  here (``c`` wherever a C compiler works, ``numba`` when installed),
+  every kernel must produce *exactly* the numpy reference's output (same
+  arrays, same dtypes-relevant values, same ordering) over the adder-tree
+  circuit families, random circuits and the degenerate graphs.
+  Bit-identity is what lets the result cache ignore the backend entirely,
+  which the cache-sharing regression test at the bottom pins
+  structurally.
 """
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.aig import AIG
 from repro.aig.fast_cuts import enumerate_cuts_arrays
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.generators.adders import ripple_carry_adder
-from repro.kernels import registry
+from repro.kernels import c_backend, registry
 from repro.kernels.registry import (
     BACKEND_ENV,
     KERNEL_NAMES,
@@ -47,6 +59,15 @@ from repro.utils.random_circuits import random_aig
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed"
 )
+needs_c = pytest.mark.skipif(
+    not registry._load_backend("c"), reason="the C kernels do not build here"
+)
+# Every compiled backend, gated on whether it loads in this environment.
+COMPILED = [pytest.param("c", marks=needs_c),
+            pytest.param("numba", marks=needs_numba)]
+# The kernels each compiled backend implements (the rest serve from numpy).
+IMPLEMENTED = {"c": {"merge_level", "kahn_propagate"},
+               "numba": set(KERNEL_NAMES)}
 
 
 @pytest.fixture(autouse=True)
@@ -60,10 +81,9 @@ def clean_registry(monkeypatch):
     with registry._lock:
         registry._impls.clear()
         registry._impls.update(saved)
-        registry._loaded_backends.intersection_update({"numpy", "numba"})
+        registry._loaded_backends.intersection_update({"numpy", "numba",
+                                                       "c"})
     # Teardown runs before the env monkeypatch is undone; resolve quietly.
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         set_backend(None)
@@ -106,6 +126,13 @@ CIRCUITS = {
                                   num_outputs=3, seed=0),
     "random1": lambda: random_aig(num_inputs=4, num_ands=80,
                                   num_outputs=2, seed=1),
+    # Constant and PI outputs, constant-folded fan-ins.
+    "random_const2": lambda: random_aig(num_inputs=6, num_ands=200,
+                                        num_outputs=5, seed=2,
+                                        allow_constants=True),
+    "random_const3": lambda: random_aig(num_inputs=8, num_ands=400,
+                                        num_outputs=6, seed=3,
+                                        allow_constants=True),
     "one_level": one_level,
     "empty": empty,
 }
@@ -118,7 +145,7 @@ CIRCUITS = {
 class TestRegistrySelection:
     def test_default_is_auto(self):
         assert requested_backend() == "auto"
-        assert active_backend() in ("numpy", "numba")
+        assert active_backend() in ("numpy", "c", "numba")
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy")
@@ -141,12 +168,14 @@ class TestRegistrySelection:
             register("not_a_kernel", "numpy")
 
     def test_explicit_numba_missing_falls_back_with_warning(self, monkeypatch):
-        # Simulate an environment without numba regardless of this one.
+        # Simulate an environment without numba (and, so that auto has no
+        # compiled backend left, without the C kernels) regardless of this
+        # one.
         monkeypatch.setattr(registry, "numba_available", lambda: False)
         real_load = registry._load_backend
         monkeypatch.setattr(
             registry, "_load_backend",
-            lambda b: False if b == "numba" else real_load(b),
+            lambda b: False if b in ("numba", "c") else real_load(b),
         )
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert set_backend("numba") == "numpy"
@@ -307,8 +336,19 @@ def test_kahn_empty_graph():
 
 
 # ---------------------------------------------------------------------------
-# Differential suite: numba backend must be bit-identical to numpy
+# Differential suite: every compiled backend must be bit-identical to numpy
 # ---------------------------------------------------------------------------
+
+# Cut-sweep parameters beyond the pipeline's (k=3, max_cuts=10): a single
+# kept cut, a slot count past the candidate grid of most nodes, 2-cuts,
+# and no trivial cut.
+CUT_PARAMS = {
+    "k3m1": dict(k=3, max_cuts=1),
+    "k3m40": dict(k=3, max_cuts=40),
+    "k2m4": dict(k=2, max_cuts=4),
+    "k3m6_no_trivial": dict(k=3, max_cuts=6, include_trivial=False),
+}
+
 
 def run_pipeline(aig: AIG, backend: str):
     """Everything the kernels touch, captured under one backend."""
@@ -319,56 +359,266 @@ def run_pipeline(aig: AIG, backend: str):
     return cuts, tree, report
 
 
-@needs_numba
-class TestNumbaBitIdentity:
+def assert_same_cuts(ref, got) -> None:
+    assert np.array_equal(ref.leaves, got.leaves)
+    assert np.array_equal(ref.truths, got.truths)
+    assert np.array_equal(ref.sizes, got.sizes)
+    assert np.array_equal(ref.counts, got.counts)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+class TestCompiledBitIdentity:
     @pytest.fixture(autouse=True)
-    def warm(self):
-        warmup("numba")
+    def warm(self, backend):
+        warmup(backend)
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
-    def test_pipeline_identical(self, name):
+    def test_pipeline_identical(self, name, backend):
         build = CIRCUITS[name]
         ref_cuts, ref_tree, ref_report = run_pipeline(build(), "numpy")
-        got_cuts, got_tree, got_report = run_pipeline(build(), "numba")
-        assert np.array_equal(ref_cuts.leaves, got_cuts.leaves)
-        assert np.array_equal(ref_cuts.truths, got_cuts.truths)
-        assert np.array_equal(ref_cuts.sizes, got_cuts.sizes)
-        assert np.array_equal(ref_cuts.counts, got_cuts.counts)
+        got_cuts, got_tree, got_report = run_pipeline(build(), backend)
+        assert_same_cuts(ref_cuts, got_cuts)
         assert got_tree.adders == ref_tree.adders
         assert got_tree.consumed == ref_tree.consumed
         assert got_report == ref_report
 
+    @pytest.mark.parametrize("params", sorted(CUT_PARAMS), ids=str)
     @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
-    def test_levels_identical(self, name, monkeypatch):
+    def test_cut_params_identical(self, name, params, backend):
+        aig = CIRCUITS[name]()
+        set_backend("numpy")
+        ref = enumerate_cuts_arrays(aig, **CUT_PARAMS[params])
+        set_backend(backend)
+        got = enumerate_cuts_arrays(aig, **CUT_PARAMS[params])
+        assert_same_cuts(ref, got)
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
+    def test_levels_identical(self, name, backend, monkeypatch):
         monkeypatch.setattr(AIG, "_LEVELS_VECTOR_MIN", 0)
         build = CIRCUITS[name]
         set_backend("numpy")
         ref = np.asarray(build().levels_array())
-        set_backend("numba")
+        set_backend(backend)
         got = np.asarray(build().levels_array())
         assert np.array_equal(ref, got)
 
-    def test_numba_actually_dispatches(self):
-        set_backend("numba")
+    def test_actually_dispatches(self, backend):
+        set_backend(backend)
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
         analyze_adder_tree(aig, extract_adder_tree(aig))
         counts = dispatch_counts()
         for kernel in KERNEL_NAMES:
-            backends = counts.get(kernel, {})
-            assert "numpy" not in backends, (kernel, counts)
+            served = set(counts.get(kernel, {}))
+            if kernel in IMPLEMENTED[backend]:
+                assert served == {backend}, (kernel, counts)
+            else:
+                assert served == {"numpy"}, (kernel, counts)
 
-    def test_small_pack_limit_identical(self):
+    @pytest.mark.parametrize("params", [None, *sorted(CUT_PARAMS)], ids=str)
+    def test_small_pack_limit_identical(self, params, backend):
         """The compaction path (tiny pack_limit) stays backend-identical."""
         aig = csa_multiplier(6).aig
+        kwargs = dict(CUT_PARAMS[params]) if params else dict(max_cuts=6)
+        slots = kwargs["max_cuts"] + kwargs.get("include_trivial", True)
+        kwargs["pack_limit"] = max(128, 6 * slots + 2)
         set_backend("numpy")
-        ref = enumerate_cuts_arrays(aig, max_cuts=6, pack_limit=128)
-        set_backend("numba")
-        got = enumerate_cuts_arrays(aig, max_cuts=6, pack_limit=128)
-        assert np.array_equal(ref.leaves, got.leaves)
-        assert np.array_equal(ref.truths, got.truths)
-        assert np.array_equal(ref.sizes, got.sizes)
-        assert np.array_equal(ref.counts, got.counts)
+        ref = enumerate_cuts_arrays(aig, **kwargs)
+        set_backend(backend)
+        got = enumerate_cuts_arrays(aig, **kwargs)
+        assert_same_cuts(ref, got)
+
+
+# ---------------------------------------------------------------------------
+# The C backend: wrapper checks, build fallback and the build cache
+# ---------------------------------------------------------------------------
+
+@needs_c
+class TestCWrapper:
+    def sweep_columns(self, num_vars: int, slots: int):
+        leaves = np.full((num_vars, slots, 3), num_vars, dtype=np.int32)
+        truths = np.zeros((num_vars, slots), dtype=np.uint8)
+        sizes = np.zeros((num_vars, slots), dtype=np.int8)
+        counts = np.zeros(num_vars, dtype=np.int32)
+        return leaves, truths, sizes, counts
+
+    def test_in_place_arrays_are_checked_not_copied(self):
+        set_backend("c")
+        merge = get_kernel("merge_level")
+        aig = one_level()
+        fanin0, fanin1 = aig.fanin_arrays()
+        batch = np.array([aig.num_vars - 1])
+        options = dict(k=3, max_cuts=2, include_trivial=True,
+                       pad=aig.num_vars, pack_limit=0)
+        leaves, truths, sizes, counts = self.sweep_columns(aig.num_vars, 3)
+        with pytest.raises(TypeError, match="counts must be"):
+            merge(batch, fanin0, fanin1, leaves, truths, sizes,
+                  counts.astype(np.int64), **options)
+        wide = np.zeros((aig.num_vars, 6), dtype=np.uint8)
+        with pytest.raises(TypeError, match="truths must be"):
+            merge(batch, fanin0, fanin1, leaves, wide[:, ::2], sizes,
+                  counts, **options)
+        indegree = np.zeros(3, dtype=np.int64)
+        with pytest.raises(TypeError, match="values must be"):
+            get_kernel("kahn_propagate")(
+                np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                indegree, np.zeros(3, dtype=np.int32))
+
+    def test_out_of_range_input_raises(self):
+        set_backend("c")
+        aig = one_level()
+        fanin0, fanin1 = aig.fanin_arrays()
+        columns = self.sweep_columns(aig.num_vars, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            get_kernel("merge_level")(
+                np.array([aig.num_vars]), fanin0, fanin1, *columns,
+                k=3, max_cuts=2, include_trivial=True, pad=aig.num_vars,
+                pack_limit=0)
+        with pytest.raises(ValueError, match="out of range"):
+            get_kernel("kahn_propagate")(
+                np.array([0, 1, 1], dtype=np.int64),
+                np.array([5], dtype=np.int64),
+                np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
+
+
+def write_compiler(directory: Path, script: str) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "cc"
+    path.write_text("#!/bin/sh\n" + script + "\n")
+    path.chmod(0o755)
+    return directory
+
+
+class TestCBuildFallback:
+    @pytest.fixture(autouse=True)
+    def unloaded(self, monkeypatch, tmp_path):
+        """The c backend not yet loaded, with an empty private cache."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        with registry._lock:
+            was_loaded = "c" in registry._loaded_backends
+            registry._loaded_backends.discard("c")
+            for kernel in KERNEL_NAMES:
+                registry._impls.pop((kernel, "c"), None)
+        yield
+        with registry._lock:
+            registry._load_errors.pop("c", None)
+            if was_loaded:
+                registry._loaded_backends.add("c")
+
+    @pytest.mark.parametrize("compiler", ["missing", "failing"])
+    def test_auto_quiet_explicit_warns(self, compiler, monkeypatch, tmp_path):
+        if compiler == "missing":
+            bin_dir = tmp_path / "empty-bin"
+            bin_dir.mkdir()
+            reason = "no C compiler"
+        else:
+            bin_dir = write_compiler(tmp_path / "bin",
+                                     "echo broken >&2; exit 1")
+            reason = "exited 1"
+        monkeypatch.setenv("PATH", str(bin_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert set_backend("auto") != "c"
+        with pytest.warns(RuntimeWarning, match=reason):
+            assert set_backend("c") == "numpy"
+        assert "c" not in registry._loaded_backends
+        assert not list((tmp_path / "cache").rglob("*.so*"))
+
+    def test_serving_path_never_build_error(self, monkeypatch, tmp_path):
+        """REPRO_KERNEL=c without a working compiler must still serve."""
+        monkeypatch.setenv("PATH", str(write_compiler(tmp_path / "bin",
+                                                      "exit 3")))
+        monkeypatch.setenv(BACKEND_ENV, "c")
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            set_backend(None)
+        assert active_backend() == "numpy"
+        record = warmup()  # the daemon boot path
+        assert record["backend"] == "numpy"
+        tree = extract_adder_tree(csa_multiplier(4).aig)
+        assert tree.num_full_adders > 0
+
+
+def c_kernels_work() -> bool:
+    """Run the freshly registered c kahn kernel on a two-edge chain."""
+    values = np.zeros(3, dtype=np.int64)
+    registry._impls[("kahn_propagate", "c")](
+        np.array([0, 1, 2, 2]), np.array([1, 2]),
+        np.array([0, 1, 1], dtype=np.int64), values)
+    return values.tolist() == [0, 1, 2]
+
+
+@needs_c
+class TestCBuildCache:
+    @pytest.fixture()
+    def cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache" / "repro"
+
+    def test_builds_into_private_cache(self, cache):
+        path = c_backend.load()
+        assert path.parent == cache and path.exists()
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert path.stat().st_mode & 0o077 == 0
+        assert not list(cache.glob("*.partial"))
+        assert c_backend.load() == path  # reused, not rebuilt
+        assert c_kernels_work()
+
+    def test_writable_cache_dir_not_used(self, cache):
+        cache.mkdir(parents=True)
+        cache.chmod(0o777)
+        path = c_backend.load()
+        assert cache not in path.parents
+        assert not path.parent.exists()  # the private build dir is removed
+        assert list(cache.iterdir()) == []
+        assert c_kernels_work()
+
+    def test_writable_library_not_loaded(self, cache):
+        cache.mkdir(parents=True, mode=0o700)
+        name = c_backend.library_name(c_backend.compile_command())
+        planted = cache / name
+        planted.write_bytes(b"not a shared library")
+        planted.chmod(0o666)
+        path = c_backend.load()  # loading the planted file would raise
+        assert path.parent != cache
+        assert planted.read_bytes() == b"not a shared library"
+        assert c_kernels_work()
+
+    def test_foreign_owner_not_loaded(self, cache, monkeypatch):
+        built = c_backend.load()
+        assert built.parent == cache
+        real_uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: real_uid + 1)
+        path = c_backend.load()
+        assert path.parent != cache
+        assert c_kernels_work()
+
+    def test_concurrent_builders_share_the_cache(self, cache):
+        script = (
+            "import numpy as np\n"
+            "from repro.kernels import c_backend, registry\n"
+            "path = c_backend.load()\n"
+            "values = np.zeros(3, dtype=np.int64)\n"
+            "registry._impls[('kahn_propagate', 'c')](np.array([0, 1, 2, 2]),"
+            " np.array([1, 2]), np.array([0, 1, 1]), values)\n"
+            "assert values.tolist() == [0, 1, 2]\n"
+            "print(path)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        builders = [subprocess.Popen([sys.executable, "-c", script], env=env,
+                                     stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, text=True)
+                    for _ in range(2)]
+        outputs = [builder.communicate(timeout=120) for builder in builders]
+        for builder, (out, err) in zip(builders, outputs):
+            assert builder.returncode == 0, err
+        paths = {Path(out.strip()) for out, _ in outputs}
+        assert len(paths) == 1
+        (path,) = paths
+        assert path.parent == cache
+        assert sorted(cache.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------
